@@ -649,8 +649,7 @@ fn main() {
     // Per-study executor accounting: speedup = summed cell compute time /
     // sweep wall time. Printed to stderr so stdout artifacts stay
     // byte-identical across worker counts.
-    let report_speedup = |name: &str, before: &aum_sim::exec::ExecStats| {
-        let d = aum_sim::exec::stats().since(before);
+    let report_speedup = |name: &str, d: &aum_sim::exec::ExecStats| {
         if d.cells > 0 {
             eprintln!(
                 "{name}: {} sweep cells, busy {:.2?} / wall {:.2?}, speedup {:.2}x (jobs {}; \
@@ -683,19 +682,17 @@ fn main() {
             for (name, run) in &experiments {
                 set_phase(name);
                 let t = Instant::now();
-                let before = aum_sim::exec::stats();
-                let out = run();
+                let (out, exec) = aum_sim::exec::measure(run);
                 emit(name, &out, t.elapsed());
-                report_speedup(name, &before);
+                report_speedup(name, &exec);
             }
             eprintln!("total: {:?}", t0.elapsed());
         }
         Command::Chaos { quick } => {
             let t = Instant::now();
-            let before = aum_sim::exec::stats();
-            let run = aum_bench::chaos::run(*quick);
+            let (run, exec) = aum_sim::exec::measure(|| aum_bench::chaos::run(*quick));
             emit("chaos", &run.text, t.elapsed());
-            report_speedup("chaos", &before);
+            report_speedup("chaos", &exec);
             if run.degenerate {
                 eprintln!("error: chaos matrix produced non-finite SLO guarantees");
                 exit_code = 1;
@@ -703,10 +700,9 @@ fn main() {
         }
         Command::FleetChaos { quick } => {
             let t = Instant::now();
-            let before = aum_sim::exec::stats();
-            let run = aum_bench::fleetchaos::run(*quick);
+            let (run, exec) = aum_sim::exec::measure(|| aum_bench::fleetchaos::run(*quick));
             emit("fleet-chaos", &run.text, t.elapsed());
-            report_speedup("fleet-chaos", &before);
+            report_speedup("fleet-chaos", &exec);
             if run.degenerate {
                 eprintln!(
                     "error: fleet-chaos matrix failed conservation, finiteness, \
@@ -717,11 +713,12 @@ fn main() {
         }
         Command::Attrib { study, quick } => {
             let t = Instant::now();
-            let before = aum_sim::exec::stats();
-            match aum_bench::attribution::run_study(study, *quick) {
+            let (report, exec) =
+                aum_sim::exec::measure(|| aum_bench::attribution::run_study(study, *quick));
+            match report {
                 Ok(report) => {
                     emit(&format!("attrib-{study}"), &report.text, t.elapsed());
-                    report_speedup(&format!("attrib-{study}"), &before);
+                    report_speedup(&format!("attrib-{study}"), &exec);
                     if let Some(path) = &cli.metrics_out {
                         if let Err(e) = std::fs::write(path, &report.prom) {
                             eprintln!("cannot write {}: {e}", path.display());
@@ -739,7 +736,6 @@ fn main() {
         }
         Command::PerfReport { study, quick } => {
             let t = Instant::now();
-            let before = aum_sim::exec::stats();
             match aum_bench::perfreport::collect(study, *quick) {
                 Ok(report) => {
                     let name = format!("perf-report-{study}");
@@ -748,7 +744,7 @@ fn main() {
                         report.study_output, report.deterministic, report.timing
                     );
                     emit(&name, &text, t.elapsed());
-                    report_speedup(&name, &before);
+                    report_speedup(&name, &report.exec);
                     if let Some(path) = &cli.flame {
                         if let Err(e) = std::fs::write(path, &report.folded) {
                             eprintln!("cannot write {}: {e}", path.display());
@@ -843,10 +839,9 @@ fn main() {
         Command::One(id) => match experiments.iter().find(|(n, _)| n == id) {
             Some((name, run)) => {
                 let t = Instant::now();
-                let before = aum_sim::exec::stats();
-                let out = run();
+                let (out, exec) = aum_sim::exec::measure(run);
                 emit(name, &out, t.elapsed());
-                report_speedup(name, &before);
+                report_speedup(name, &exec);
             }
             None => {
                 eprintln!("error: unknown experiment `{id}`");

@@ -122,6 +122,8 @@ pub struct PerfReport {
     pub folded: String,
     /// Machine-readable summary for `BENCH_<sha>.json`.
     pub bench: BenchSummary,
+    /// Executor figures of the profiled study ([`aum_sim::exec::measure`]).
+    pub exec: aum_sim::exec::ExecStats,
 }
 
 /// The commit id for [`BenchSummary::sha`]: `GITHUB_SHA` if set (CI),
@@ -169,16 +171,14 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
 
     aum_sim::prof::reset();
     aum_sim::prof::set_enabled(true);
-    let exec_before = aum_sim::exec::stats();
     let t0 = Instant::now();
-    let study_output = {
+    let (study_output, exec) = aum_sim::exec::measure(|| {
         let _study_scope = aum_sim::prof::scope("study");
         run()
-    };
+    });
     let wall = t0.elapsed();
     aum_sim::prof::set_enabled(false);
     let snap = aum_sim::prof::snapshot();
-    let exec = aum_sim::exec::stats().since(&exec_before);
 
     let cache = crate::common::CacheStats {
         lookups: snap.counter("model_cache.lookup"),
@@ -257,6 +257,7 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
         timing,
         folded: snap.render_folded(),
         bench,
+        exec,
     })
 }
 

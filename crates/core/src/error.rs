@@ -3,7 +3,8 @@
 use core::fmt;
 
 /// Errors returned by AUM's fallible APIs (AUV-model persistence,
-/// fault-plan validation, attribution-ledger conservation).
+/// fault-plan validation, resource-manager decisions, attribution-ledger
+/// conservation).
 #[derive(Debug)]
 pub enum AumError {
     /// Filesystem error while reading or writing a model artifact.
@@ -13,6 +14,16 @@ pub enum AumError {
     /// A fault plan is malformed (bad parameters or timing) — experiments
     /// reject it cleanly instead of aborting the process.
     FaultPlan(String),
+    /// A resource manager returned a processor division whose cores do
+    /// not add up to the platform's.
+    DivisionMismatch {
+        /// The manager's [`crate::manager::ResourceManager::name`].
+        manager: &'static str,
+        /// The division it returned.
+        division: aum_platform::topology::ProcessorDivision,
+        /// The platform's core count.
+        total_cores: usize,
+    },
     /// The run's attribution ledger failed a conservation invariant
     /// (attributed time ≠ wall time or attributed joules ≠ modeled energy
     /// beyond [`aum_sim::attrib::EPSILON`]).
@@ -25,6 +36,14 @@ impl fmt::Display for AumError {
             AumError::Io(e) => write!(f, "model artifact io error: {e}"),
             AumError::Serde(e) => write!(f, "model artifact encoding error: {e}"),
             AumError::FaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
+            AumError::DivisionMismatch {
+                manager,
+                division,
+                total_cores,
+            } => write!(
+                f,
+                "{manager}: division {division} does not cover the {total_cores}-core platform"
+            ),
             AumError::Attribution(e) => write!(f, "attribution ledger violation: {e}"),
         }
     }
@@ -35,7 +54,7 @@ impl std::error::Error for AumError {
         match self {
             AumError::Io(e) => Some(e),
             AumError::Serde(e) => Some(e),
-            AumError::FaultPlan(_) => None,
+            AumError::FaultPlan(_) | AumError::DivisionMismatch { .. } => None,
             AumError::Attribution(e) => Some(e),
         }
     }

@@ -201,13 +201,15 @@ pub fn run_experiment(cfg: &ExperimentConfig, manager: &mut dyn ResourceManager)
     run_experiment_traced(cfg, manager, Tracer::disabled())
 }
 
-/// Fallible variant of [`run_experiment`]: a malformed [`FaultPlan`]
-/// surfaces as [`AumError::FaultPlan`] instead of a panic.
+/// Fallible variant of [`run_experiment`]: a malformed [`FaultPlan`] or a
+/// manager's short division surfaces as an [`AumError`] instead of a
+/// panic.
 ///
 /// # Errors
 ///
 /// Returns [`AumError::FaultPlan`] when the config's fault plan fails
-/// validation.
+/// validation, and [`AumError::DivisionMismatch`] when the manager returns
+/// a division that does not cover the platform's cores.
 pub fn try_run_experiment(
     cfg: &ExperimentConfig,
     manager: &mut dyn ResourceManager,
@@ -241,12 +243,8 @@ pub fn run_experiment_traced(
 ///
 /// Returns [`AumError::FaultPlan`] when the config's fault plan fails
 /// validation (e.g. a bandwidth fraction outside `(0, 1]` from malformed
-/// JSON).
-///
-/// # Panics
-///
-/// Panics if the manager returns a division that does not cover the
-/// platform's cores.
+/// JSON), and [`AumError::DivisionMismatch`] when the manager returns a
+/// division that does not cover the platform's cores.
 pub fn try_run_experiment_traced(
     cfg: &ExperimentConfig,
     manager: &mut dyn ResourceManager,
@@ -526,12 +524,13 @@ pub fn try_run_experiment_traced(
             manager.decide(&state)
         };
         let div = decision.division;
-        assert_eq!(
-            div.total_cores(),
-            total_cores,
-            "{}: division {div} does not cover the {total_cores}-core platform",
-            manager.name()
-        );
+        if div.total_cores() != total_cores {
+            return Err(AumError::DivisionMismatch {
+                manager: manager.name(),
+                division: div,
+                total_cores,
+            });
+        }
         // CoreOffline shadows the division the platform actually runs: the
         // manager's view stays full-width (it cannot see the dead cores),
         // the hardware comes up short.
@@ -1166,6 +1165,36 @@ mod tests {
         assert!(out.efficiency > 0.0);
         assert_eq!(out.be_rate, 0.0);
         assert_eq!(out.scheme, "exclusive");
+    }
+
+    #[test]
+    fn short_division_is_a_typed_error() {
+        let cfg = short_cfg(None);
+        let total = cfg.platform.total_cores();
+        let mut mgr = shared_manager(total);
+        mgr.name = "short";
+        mgr.decision.division = ProcessorDivision::new(total / 3, total / 4, 1);
+        let err = try_run_experiment(&cfg, &mut mgr).expect_err("short division");
+        assert!(
+            matches!(
+                err,
+                AumError::DivisionMismatch { manager: "short", total_cores, .. }
+                    if total_cores == total
+            ),
+            "{err:?}"
+        );
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_experiment(&cfg, &mut mgr)
+        }))
+        .expect_err("the panicking entry point still panics");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains(&format!(
+                "short: division {} does not cover",
+                mgr.decision.division
+            )),
+            "{msg}"
+        );
     }
 
     #[test]

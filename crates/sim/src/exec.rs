@@ -28,8 +28,17 @@
 //! `repro --jobs` flag) → the `AUM_JOBS` environment variable →
 //! [`std::thread::available_parallelism`]. `jobs = 1` degrades to a plain
 //! in-place loop on the calling thread — no pool, no channels.
+//!
+//! Host-time accounting is scoped, not process-global: [`measure`] runs a
+//! closure and returns the [`ExecStats`] of exactly the sweeps it started
+//! on the calling thread outside any cell. A sweep started inside a cell
+//! is part of that cell's busy time, as in the self-profiling tree, which
+//! nests `exec.sweep` under `exec.cell`. A sweep outside any measurement
+//! records nothing, so sweeps on unrelated threads (parallel tests, say)
+//! can never contaminate one another's figures.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,38 +49,44 @@ use crate::telemetry::{MemorySink, Tracer};
 /// `AUM_JOBS` environment variable, then to `available_parallelism`).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Cumulative executor statistics (see [`stats`]).
-static SWEEPS: AtomicU64 = AtomicU64::new(0);
-static CELLS: AtomicU64 = AtomicU64::new(0);
-static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-static WALL_NANOS: AtomicU64 = AtomicU64::new(0);
-static CLAIM_NANOS: AtomicU64 = AtomicU64::new(0);
-static MERGE_NANOS: AtomicU64 = AtomicU64::new(0);
-static IDLE_NANOS: AtomicU64 = AtomicU64::new(0);
 thread_local! {
-    /// Cell-nesting depth of the current thread. A sweep started from
-    /// inside another sweep's cell (an unwarmed `ModelCache` build, say)
-    /// must not add its wall time to [`WALL_NANOS`] — the outer sweep's
-    /// wall already covers it, and double counting would understate every
-    /// speedup ratio derived from the stats. The depth is thread-local
-    /// (not a global count) so concurrent *independent* sweeps — parallel
-    /// test threads — still each count their own wall.
-    static CELL_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// The open [`measure`] accumulator of this thread, if any. A sweep
+    /// holds it aside while it runs, so a sweep started by one of its cells
+    /// on this thread (the `jobs = 1` path runs cells in place) finds none
+    /// and records nothing; pool workers are fresh threads and never have
+    /// one.
+    static MEASURED: Cell<Option<ExecStats>> = const { Cell::new(None) };
 }
 
-/// RAII marker for "this thread is executing a sweep cell".
-struct CellDepthGuard;
+/// Holds the caller's accumulator aside and puts it back on drop —
+/// unwinding included, so a panicking cell cannot detach the caller's
+/// measurement.
+struct Aside(Option<ExecStats>);
 
-impl CellDepthGuard {
-    fn enter() -> CellDepthGuard {
-        CELL_DEPTH.with(|d| d.set(d.get() + 1));
-        CellDepthGuard
+impl Drop for Aside {
+    fn drop(&mut self) {
+        MEASURED.set(self.0);
     }
 }
 
-impl Drop for CellDepthGuard {
-    fn drop(&mut self) {
-        CELL_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+/// Adds `stats` to the calling thread's open measurement, if any, and
+/// reports whether there was one.
+fn fold(stats: ExecStats) -> bool {
+    let Some(mut acc) = MEASURED.get() else {
+        return false;
+    };
+    acc += stats;
+    MEASURED.set(Some(acc));
+    true
+}
+
+/// Credits a measured sweep's figures to the calling thread's open
+/// measurement and to the live plane that thread feeds.
+fn credit(stats: ExecStats) {
+    if fold(stats) {
+        if let Some(state) = crate::live::installed_here() {
+            state.add_exec(stats);
+        }
     }
 }
 
@@ -103,9 +118,8 @@ pub fn jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Cumulative executor counters since process start. Snapshot before and
-/// after a study and subtract ([`ExecStats::since`]) to report that
-/// study's parallel speedup (`repro` prints this per study).
+/// Host-time figures of the sweeps one [`measure`] call covered (`repro`
+/// prints them per study).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Sweeps executed.
@@ -126,21 +140,19 @@ pub struct ExecStats {
     pub idle: Duration,
 }
 
-impl ExecStats {
-    /// The counter delta `self − earlier` (saturating).
-    #[must_use]
-    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
-        ExecStats {
-            sweeps: self.sweeps.saturating_sub(earlier.sweeps),
-            cells: self.cells.saturating_sub(earlier.cells),
-            busy: self.busy.saturating_sub(earlier.busy),
-            wall: self.wall.saturating_sub(earlier.wall),
-            claim: self.claim.saturating_sub(earlier.claim),
-            merge: self.merge.saturating_sub(earlier.merge),
-            idle: self.idle.saturating_sub(earlier.idle),
-        }
+impl std::ops::AddAssign for ExecStats {
+    fn add_assign(&mut self, other: ExecStats) {
+        self.sweeps += other.sweeps;
+        self.cells += other.cells;
+        self.busy += other.busy;
+        self.wall += other.wall;
+        self.claim += other.claim;
+        self.merge += other.merge;
+        self.idle += other.idle;
     }
+}
 
+impl ExecStats {
     /// Observed speedup: total cell compute time over sweep wall time
     /// (≈ 1.0 serial; approaches the worker count under ideal scaling).
     #[must_use]
@@ -154,18 +166,20 @@ impl ExecStats {
     }
 }
 
-/// Cumulative executor statistics since process start.
-#[must_use]
-pub fn stats() -> ExecStats {
-    ExecStats {
-        sweeps: SWEEPS.load(Ordering::Relaxed),
-        cells: CELLS.load(Ordering::Relaxed),
-        busy: Duration::from_nanos(BUSY_NANOS.load(Ordering::Relaxed)),
-        wall: Duration::from_nanos(WALL_NANOS.load(Ordering::Relaxed)),
-        claim: Duration::from_nanos(CLAIM_NANOS.load(Ordering::Relaxed)),
-        merge: Duration::from_nanos(MERGE_NANOS.load(Ordering::Relaxed)),
-        idle: Duration::from_nanos(IDLE_NANOS.load(Ordering::Relaxed)),
-    }
+/// Runs `f` and returns its result with the [`ExecStats`] of exactly the
+/// sweeps `f` started on the calling thread outside any cell.
+///
+/// A sweep started inside a cell is part of that cell's busy time, not a
+/// sweep of its own. Sweeps on other threads never count, so concurrent
+/// measurements cannot contaminate each other. Measurements nest: an
+/// inner one's figures also count toward the enclosing one.
+pub fn measure<R>(f: impl FnOnce() -> R) -> (R, ExecStats) {
+    let outer = Aside(MEASURED.replace(Some(ExecStats::default())));
+    let r = f();
+    let own = MEASURED.get().unwrap_or_default();
+    drop(outer);
+    fold(own);
+    (r, own)
 }
 
 /// Runs `f` over every cell with the ambient worker count ([`jobs`]),
@@ -190,6 +204,10 @@ where
 /// the output. Determinism beyond ordering is the *caller's* contract:
 /// `f` must derive any randomness from `index`/its cell alone.
 ///
+/// Under a [`measure`] on the calling thread, the sweep's figures count
+/// toward that measurement and feed the live plane; otherwise it records
+/// nothing.
+///
 /// # Panics
 ///
 /// Propagates the first worker panic after the scope joins.
@@ -199,30 +217,28 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    /// Panic-safe wall accounting: the outermost sweep's wall
-    /// contribution must land even when a cell panic unwinds through
-    /// `sweep_jobs` (tests assert on the stats afterwards).
-    struct WallGuard {
-        outermost: bool,
-        t0: Instant,
-    }
-    impl Drop for WallGuard {
-        fn drop(&mut self) {
-            if self.outermost {
-                WALL_NANOS.fetch_add(self.t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        }
-    }
-
     let n = cells.len();
     let jobs = jobs.max(1).min(n.max(1));
-    let wall_guard = WallGuard {
-        outermost: CELL_DEPTH.with(std::cell::Cell::get) == 0,
-        t0: Instant::now(),
+    let sweep_t0 = Instant::now();
+    // Sweeps the cells start on this thread belong to their cell's busy
+    // time, so they must not find the caller's measurement.
+    let caller = Aside(MEASURED.replace(None));
+    let live = caller.0.and_then(|_| crate::live::installed_here());
+    let cell_finished = || {
+        crate::live::heartbeat();
+        if let Some(state) = &live {
+            state.cell_finished();
+        }
     };
-    SWEEPS.fetch_add(1, Ordering::Relaxed);
-    CELLS.fetch_add(n as u64, Ordering::Relaxed);
-    crate::live::sweep_started(n);
+    crate::live::heartbeat();
+    if let Some(state) = &live {
+        state.sweep_started(n);
+    }
+    let mut own = ExecStats {
+        sweeps: 1,
+        cells: n as u64,
+        ..ExecStats::default()
+    };
 
     // Self-profiling: the sweep itself is a scope on the calling thread,
     // and every cell runs re-rooted under it ([`crate::prof::with_parent`])
@@ -237,12 +253,11 @@ where
             .map(|(i, cell)| {
                 let t0 = Instant::now();
                 let r = {
-                    let _depth = CellDepthGuard::enter();
                     let _cell_scope = crate::prof::scope("exec.cell");
                     f(i, cell)
                 };
-                BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                crate::live::cell_finished();
+                own.busy += t0.elapsed();
+                cell_finished();
                 r
             })
             .collect()
@@ -259,10 +274,11 @@ where
                 let slots = &slots;
                 let cursor = &cursor;
                 let f = &f;
+                let cell_finished = &cell_finished;
                 workers.push(scope.spawn(move || {
                     let worker_t0 = Instant::now();
-                    let mut busy_w: u64 = 0;
-                    let mut claim_w: u64 = 0;
+                    let mut busy = Duration::ZERO;
+                    let mut claim = Duration::ZERO;
                     loop {
                         let claim_t0 = Instant::now();
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -274,28 +290,29 @@ where
                             .expect("cell slot lock")
                             .take()
                             .expect("each cell is claimed exactly once");
-                        claim_w += claim_t0.elapsed().as_nanos() as u64;
+                        claim += claim_t0.elapsed();
                         let t0 = Instant::now();
                         let r = crate::prof::with_parent(prof_parent, || {
-                            let _depth = CellDepthGuard::enter();
                             let _cell_scope = crate::prof::scope("exec.cell");
                             f(i, cell)
                         });
-                        let busy = t0.elapsed().as_nanos() as u64;
-                        busy_w += busy;
-                        BUSY_NANOS.fetch_add(busy, Ordering::Relaxed);
-                        crate::live::cell_finished();
+                        busy += t0.elapsed();
+                        cell_finished();
                         // The collector outlives every sender; a send only
                         // fails if it panicked, and then the scope propagates
                         // that panic anyway.
                         let _ = tx.send((i, r));
                     }
-                    CLAIM_NANOS.fetch_add(claim_w, Ordering::Relaxed);
-                    let total = worker_t0.elapsed().as_nanos() as u64;
-                    IDLE_NANOS.fetch_add(
-                        total.saturating_sub(busy_w).saturating_sub(claim_w),
-                        Ordering::Relaxed,
-                    );
+                    let idle = worker_t0
+                        .elapsed()
+                        .saturating_sub(busy)
+                        .saturating_sub(claim);
+                    ExecStats {
+                        busy,
+                        claim,
+                        idle,
+                        ..ExecStats::default()
+                    }
                 }));
             }
             drop(tx);
@@ -304,8 +321,9 @@ where
                 out[i] = Some(r);
             }
             for worker in workers {
-                if let Err(payload) = worker.join() {
-                    std::panic::resume_unwind(payload);
+                match worker.join() {
+                    Ok(worker_stats) => own += worker_stats,
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
             out
@@ -316,7 +334,9 @@ where
             .collect()
     };
     drop(prof_sweep);
-    drop(wall_guard);
+    own.wall = sweep_t0.elapsed();
+    drop(caller);
+    credit(own);
     out
 }
 
@@ -351,7 +371,10 @@ where
             }
         }
     }
-    MERGE_NANOS.fetch_add(merge_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    credit(ExecStats {
+        merge: merge_t0.elapsed(),
+        ..ExecStats::default()
+    });
     traced.drain(..).map(|(r, _)| r).collect()
 }
 
@@ -486,17 +509,52 @@ mod tests {
 
     #[test]
     fn stats_accumulate_busy_and_wall_time() {
-        let before = stats();
-        let _ = sweep_jobs(2, (0..8).collect::<Vec<_>>(), |_, c: u64| {
-            std::thread::sleep(Duration::from_millis(2));
-            c
+        let (_, delta) = measure(|| {
+            sweep_jobs(2, (0..8).collect::<Vec<_>>(), |_, c: u64| {
+                std::thread::sleep(Duration::from_millis(2));
+                c
+            })
         });
-        let delta = stats().since(&before);
         assert_eq!(delta.sweeps, 1);
         assert_eq!(delta.cells, 8);
         assert!(delta.busy >= Duration::from_millis(16));
         assert!(delta.wall > Duration::ZERO);
         assert!(delta.speedup() > 0.0);
+    }
+
+    #[test]
+    fn measurement_ignores_sweeps_on_other_threads() {
+        // Cell 0 of our first sweep holds it open while a sibling thread
+        // runs an unmeasured sweep and a measured one of its own, so both
+        // land inside our measurement window.
+        let start = std::sync::Barrier::new(2);
+        let finish = std::sync::Barrier::new(2);
+        let (ours, theirs) = std::thread::scope(|scope| {
+            let sibling = scope.spawn(|| {
+                start.wait();
+                let _ = sweep_jobs(3, (0..5).collect(), |_, c: u64| c);
+                let (_, theirs) = measure(|| sweep_jobs(3, (0..7).collect(), |_, c: u64| c));
+                finish.wait();
+                theirs
+            });
+            let (_, ours) = measure(|| {
+                let _ = sweep_jobs(2, (0..6).collect(), |i, c: u64| {
+                    if i == 0 {
+                        start.wait();
+                        finish.wait();
+                    }
+                    c
+                });
+                sweep_jobs(1, (0..3).collect(), |_, c: u64| c)
+            });
+            (ours, sibling.join().expect("sibling thread"))
+        });
+        assert_eq!((ours.sweeps, ours.cells), (2, 9), "{ours:?}");
+        assert_eq!((theirs.sweeps, theirs.cells), (1, 7), "{theirs:?}");
+        // No worker of ours or theirs can be busy for longer than its
+        // sweep's wall, so busy time booked across threads would show.
+        assert!(ours.busy <= 2 * ours.wall, "{ours:?}");
+        assert!(theirs.busy <= 3 * theirs.wall, "{theirs:?}");
     }
 
     #[test]

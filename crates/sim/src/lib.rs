@@ -4,9 +4,9 @@
 //!
 //! - [`time`]: integer-nanosecond simulation clock types ([`time::SimTime`],
 //!   [`time::SimDuration`]);
-//! - [`event`]: a deterministic future-event list with stable tie-breaking;
 //! - [`exec`]: a deterministic parallel sweep executor for independent,
-//!   seeded grid cells ([`exec::sweep`], [`exec::sweep_traced`]);
+//!   seeded grid cells ([`exec::sweep`], [`exec::sweep_traced`]) with
+//!   scoped host-time accounting ([`exec::measure`]);
 //! - [`flight`]: an anomaly-triggered flight recorder — a fixed-capacity
 //!   ring of telemetry records ([`flight::RingSink`]) with trigger
 //!   predicates that dump span-balanced JSONL incident files
@@ -41,34 +41,28 @@
 //! ## Example
 //!
 //! ```
-//! use aum_sim::event::EventQueue;
 //! use aum_sim::rng::DetRng;
 //! use aum_sim::stats::Samples;
 //! use aum_sim::time::{SimDuration, SimTime};
 //!
-//! // A tiny M/D/1-style arrival simulation.
+//! // Poisson arrivals: exponential inter-arrival gaps on the sim clock.
 //! let mut rng = DetRng::from_seed(42).stream("arrivals");
-//! let mut queue = EventQueue::new();
-//! let mut t = SimTime::ZERO;
-//! for i in 0..100 {
-//!     t += SimDuration::from_secs_f64(rng.exponential(0.010));
-//!     queue.schedule(t, i);
-//! }
 //! let mut gaps = Samples::new();
-//! let mut last = SimTime::ZERO;
-//! while let Some((at, _)) = queue.pop() {
-//!     gaps.record((at - last).as_secs_f64());
-//!     last = at;
+//! let mut t = SimTime::ZERO;
+//! for _ in 0..100 {
+//!     let gap = SimDuration::from_secs_f64(rng.exponential(0.010));
+//!     t += gap;
+//!     gaps.record(gap.as_secs_f64());
 //! }
 //! assert_eq!(gaps.len(), 100);
 //! assert!(gaps.mean() > 0.0);
+//! assert!(t > SimTime::ZERO);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod attrib;
-pub mod event;
 pub mod exec;
 pub mod flight;
 pub mod hist;
@@ -86,8 +80,9 @@ pub mod time;
 pub use attrib::{
     Cause, CauseVec, ConservationError, IntervalLedger, Ledger, Region, RegionSample,
 };
-pub use event::{EventId, EventQueue};
-pub use exec::{jobs, set_jobs, sweep, sweep_jobs, sweep_traced, sweep_traced_hists, ExecStats};
+pub use exec::{
+    jobs, measure, set_jobs, sweep, sweep_jobs, sweep_traced, sweep_traced_hists, ExecStats,
+};
 pub use flight::{FlightConfig, FlightRecorder, FlightStats, Incident, RingSink, TriggerKind};
 pub use hist::LogHistogram;
 pub use live::{LiveState, MetricsServer, Watchdog};

@@ -7,9 +7,9 @@
 //!
 //! - [`LiveState`] — the shared snapshot. The experiment loop publishes a
 //!   freshly rendered exposition after every completed cell
-//!   ([`LiveState::publish_exposition`]), the sweep executor bumps
-//!   cells-completed/total via the (near-free when uninstalled) hooks
-//!   [`sweep_started`]/[`cell_finished`], and [`LiveState::render`]
+//!   ([`LiveState::publish_exposition`]), the sweep executor reports the
+//!   progress and host-time figures of every sweep the installing thread
+//!   runs under [`crate::exec::measure`], and [`LiveState::render`]
 //!   prepends run-health gauges: wall/phase clocks, cell progress,
 //!   [`crate::exec`] speedup, and flight-recorder occupancy/trigger
 //!   counters.
@@ -34,16 +34,16 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
-use crate::exec;
+use crate::exec::ExecStats;
 use crate::flight::FlightStats;
 
 /// Exit code of a [`Watchdog`]-terminated process.
 pub const WATCHDOG_EXIT_CODE: i32 = 3;
 
-/// Fast-path guard: the executor hooks are one relaxed load when no
+/// Fast-path guard: [`installed`] is one relaxed load when no
 /// [`LiveState`] is installed.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
@@ -57,12 +57,15 @@ static INSTALLED: Mutex<Option<Arc<LiveState>>> = Mutex::new(None);
 /// The shared run-health snapshot behind the live endpoint.
 pub struct LiveState {
     started: Instant,
+    /// The thread that installed this state. Only its measured sweeps
+    /// feed the progress and executor gauges, so sweeps other threads run
+    /// at the same time (parallel tests) cannot skew them.
+    owner: ThreadId,
     phase: Mutex<(String, Instant)>,
-    /// Executor counters at the start of the current phase, so the
-    /// speedup gauge describes *this* study, not the whole process —
-    /// `repro all` runs many studies in one invocation and a cumulative
-    /// ratio would smear them together.
-    phase_exec_base: Mutex<exec::ExecStats>,
+    /// Executor figures of the measured sweeps since install, and since
+    /// the current phase began — `repro all` runs many studies in one
+    /// invocation, and the speedup gauge describes *this* study.
+    exec: Mutex<(ExecStats, ExecStats)>,
     cells_done: AtomicU64,
     cells_total: AtomicU64,
     exposition: Mutex<String>,
@@ -84,8 +87,9 @@ impl LiveState {
         let now = Instant::now();
         LiveState {
             started: now,
+            owner: std::thread::current().id(),
             phase: Mutex::new((String::from("startup"), now)),
-            phase_exec_base: Mutex::new(exec::stats()),
+            exec: Mutex::new(Default::default()),
             cells_done: AtomicU64::new(0),
             cells_total: AtomicU64::new(0),
             exposition: Mutex::new(String::new()),
@@ -100,8 +104,26 @@ impl LiveState {
         let mut guard = self.phase.lock().expect("live phase lock");
         let prev = std::mem::replace(&mut guard.0, phase.to_string());
         guard.1 = Instant::now();
-        *self.phase_exec_base.lock().expect("live exec base lock") = exec::stats();
+        self.exec.lock().expect("live exec lock").1 = ExecStats::default();
         prev
+    }
+
+    /// Executor hook: a measured sweep over `cells` cells is starting.
+    pub(crate) fn sweep_started(&self, cells: usize) {
+        self.cells_total.fetch_add(cells as u64, Ordering::Relaxed);
+    }
+
+    /// Executor hook: one cell of a measured sweep finished.
+    pub(crate) fn cell_finished(&self) {
+        self.cells_done.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Executor hook: host-time figures of a measured sweep (or of its
+    /// trace merge).
+    pub(crate) fn add_exec(&self, stats: ExecStats) {
+        let mut exec = self.exec.lock().expect("live exec lock");
+        exec.0 += stats;
+        exec.1 += stats;
     }
 
     /// Replaces the published Prometheus exposition body (the
@@ -151,16 +173,16 @@ impl LiveState {
         gauge(
             &mut out,
             "aum_sweep_cells_total",
-            "Grid cells scheduled across all sweeps so far.",
+            "Grid cells scheduled across measured sweeps so far.",
             self.cells_total.load(Ordering::Relaxed) as f64,
         );
         gauge(
             &mut out,
             "aum_sweep_cells_completed",
-            "Grid cells completed across all sweeps so far.",
+            "Grid cells completed across measured sweeps so far.",
             self.cells_done.load(Ordering::Relaxed) as f64,
         );
-        let stats = exec::stats();
+        let (stats, phase_stats) = *self.exec.lock().expect("live exec lock");
         gauge(
             &mut out,
             "aum_exec_busy_seconds",
@@ -191,15 +213,14 @@ impl LiveState {
             "Summed pool-worker wall time not spent computing or claiming.",
             stats.idle.as_secs_f64(),
         );
-        // Per-phase delta, not the process-cumulative ratio: one `repro
-        // all` invocation runs many studies and the cumulative ratio
-        // would average them together.
-        let phase_delta = stats.since(&self.phase_exec_base.lock().expect("live exec base lock"));
+        // Per-phase, not the run-cumulative ratio: one `repro all`
+        // invocation runs many studies and the cumulative ratio would
+        // average them together.
         gauge(
             &mut out,
             "aum_exec_speedup",
             "Observed sweep speedup (busy over wall) of the current phase.",
-            phase_delta.speedup(),
+            phase_stats.speedup(),
         );
         self.render_prof(&mut out);
         let flight = self.flight.lock().expect("live flight lock");
@@ -356,25 +377,15 @@ pub fn uninstall() {
     *INSTALLED.lock().expect("live install lock") = None;
 }
 
-/// Executor hook: a sweep over `cells` cells is starting.
-pub fn sweep_started(cells: usize) {
-    HEARTBEAT.fetch_add(1, Ordering::Relaxed);
-    if let Some(state) = installed() {
-        state.cells_total.fetch_add(cells as u64, Ordering::Relaxed);
-    }
+/// The installed snapshot, if the calling thread installed it — the
+/// thread whose measured sweeps it follows.
+pub(crate) fn installed_here() -> Option<Arc<LiveState>> {
+    installed().filter(|state| state.owner == std::thread::current().id())
 }
 
-/// Executor hook: one grid cell finished.
-pub fn cell_finished() {
-    HEARTBEAT.fetch_add(1, Ordering::Relaxed);
-    if let Some(state) = installed() {
-        state.cells_done.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Progress heartbeat for the [`Watchdog`]; the experiment loop ticks it
-/// once per control interval so long-running single cells still count as
-/// progress.
+/// Progress heartbeat for the [`Watchdog`]; the sweep executor ticks it
+/// per sweep and per cell, and the experiment loop once per control
+/// interval so long-running single cells still count as progress.
 pub fn heartbeat() {
     HEARTBEAT.fetch_add(1, Ordering::Relaxed);
 }
@@ -553,15 +564,14 @@ fn handle_conn(mut stream: TcpStream, state: &Arc<LiveState>) -> io::Result<()> 
 mod tests {
     use super::*;
 
-    /// One test covers install → hooks → render → HTTP round-trip →
-    /// shutdown, serially, because the installed state is process-global.
+    /// One test covers install → measured sweep → render → HTTP
+    /// round-trip → shutdown, serially, because the installed state is
+    /// process-global. Sweeps that sibling tests run on their own threads
+    /// do not feed it.
     #[test]
     fn live_state_renders_and_serves_over_http() {
         let state = install();
         state.set_phase("unit-test");
-        sweep_started(4);
-        cell_finished();
-        cell_finished();
         state.publish_exposition(String::from(
             "# TYPE aum_requests_finished counter\naum_requests_finished 5\n",
         ));
@@ -572,7 +582,14 @@ mod tests {
             triggers: 2,
             incidents: 1,
         });
-        let rendered = state.render();
+        // Render from inside the third cell of a serial four-cell sweep:
+        // two cells have finished by then.
+        let (renders, _) = crate::exec::measure(|| {
+            crate::exec::sweep_jobs(1, (0..4).collect(), |_, c: usize| {
+                (c == 2).then(|| state.render())
+            })
+        });
+        let rendered = renders[2].clone().expect("third cell renders");
         assert!(rendered.contains("aum_up 1"), "{rendered}");
         assert!(
             rendered.contains("aum_phase_info{phase=\"unit-test\"} 1"),
