@@ -401,21 +401,16 @@ pub fn fig18() -> String {
         ),
     ] {
         let mut t = TextTable::new(["CDF", "AUM", "RP-AU"]);
-        for q in [0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            t.row([
-                format!("p{:.0}", q * 100.0),
-                fmt3(a.quantile(q)),
-                fmt3(r.quantile(q)),
-            ]);
+        let qs = [0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
+        for ((q, av), rv) in qs.into_iter().zip(a.quantiles(qs)).zip(r.quantiles(qs)) {
+            t.row([format!("p{:.0}", q * 100.0), fmt3(av), fmt3(rv)]);
         }
         out.push_str(&format!("\n[{label}]\n{}", t.render()));
     }
+    let [aum_p10, aum_p90] = aum.shared_llc_samples.quantiles([0.1, 0.9]);
+    let [rp_p10, rp_p90] = rp.shared_llc_samples.quantiles([0.1, 0.9]);
     out.push_str(&format!(
-        "\nAUM allocation spread (LLC ways p10→p90): {:.0}→{:.0}  vs RP-AU: {:.0}→{:.0}\n",
-        aum.shared_llc_samples.quantile(0.1),
-        aum.shared_llc_samples.quantile(0.9),
-        rp.shared_llc_samples.quantile(0.1),
-        rp.shared_llc_samples.quantile(0.9),
+        "\nAUM allocation spread (LLC ways p10→p90): {aum_p10:.0}→{aum_p90:.0}  vs RP-AU: {rp_p10:.0}→{rp_p90:.0}\n",
     ));
     out
 }

@@ -31,6 +31,11 @@ use crate::common::set_quick;
 /// [`BenchSummary::regression_against`] reports a failure (>20% drop).
 pub const REGRESSION_TOLERANCE: f64 = 0.80;
 
+/// A non-leaf scope whose self-time exceeds this share of the profiled
+/// total is flagged in the host-timing section: that much time goes
+/// unexplained by any child scope.
+pub const HIDDEN_SELF_SHARE: f64 = 0.10;
+
 /// One entry of the top-self-time table in [`BenchSummary`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseShare {
@@ -231,6 +236,7 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
          under parallel sweeps can exceed 100% of wall.\n",
     );
     timing.push_str(&snap.render_timing());
+    timing.push_str(&render_hidden_self_time(&snap));
 
     let bench = BenchSummary {
         sha: current_sha(),
@@ -261,9 +267,27 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
     })
 }
 
+/// The host-timing lines flagging [`HIDDEN_SELF_SHARE`] breaches.
+fn render_hidden_self_time(snap: &aum_sim::prof::Snapshot) -> String {
+    let hidden = snap.hidden_self_time(HIDDEN_SELF_SHARE);
+    let mut out = format!(
+        "hidden self-time (non-leaf scopes above {:.0}% of profiled total): {}\n",
+        100.0 * HIDDEN_SELF_SHARE,
+        if hidden.is_empty() { "none" } else { "FLAGGED" },
+    );
+    for (path, share) in hidden {
+        out.push_str(&format!(
+            "  FLAG {path}: self {:.1}% is outside every child scope\n",
+            100.0 * share
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aum_sim::prof::{Snapshot, SnapshotNode};
 
     fn summary(cps: f64) -> BenchSummary {
         BenchSummary {
@@ -283,6 +307,45 @@ mod tests {
                 share: 0.9,
             }],
         }
+    }
+
+    #[test]
+    fn hidden_self_time_flags_only_heavy_non_leaf_scopes() {
+        // Shaped like a fig14 profile before the interval body had phase
+        // scopes: the interval's own body dominates, its children do not.
+        // Name and depth follow from the `;`-joined path.
+        let node = |path: &'static str, total_ms: u64, self_ms: u64| SnapshotNode {
+            name: path.rsplit(';').next().expect("non-empty path"),
+            path: path.into(),
+            depth: path.matches(';').count(),
+            calls: 1,
+            total_nanos: total_ms * 1_000_000,
+            self_nanos: self_ms * 1_000_000,
+        };
+        let mut snap = Snapshot {
+            nodes: vec![
+                node("study", 1000, 50),
+                node("study;exec.cell", 950, 20),
+                node("study;exec.cell;ctrl.interval", 930, 400),
+                node("study;exec.cell;ctrl.interval;ctrl.decide", 30, 30),
+                // A leaf may be as heavy as it likes: its time is its own.
+                node("study;exec.cell;ctrl.interval;engine.interval", 500, 500),
+                node("study;exec.cell;ctrl.interval;platform.step", 10, 10),
+            ],
+            counters: Vec::new(),
+        };
+        let out = render_hidden_self_time(&snap);
+        assert!(out.contains("FLAGGED"), "{out}");
+        assert!(
+            out.contains("FLAG study;exec.cell;ctrl.interval: self 40.0%"),
+            "{out}"
+        );
+        assert_eq!(out.matches("FLAG ").count(), 1, "only the interval: {out}");
+
+        // Once its body is under child scopes, nothing is flagged.
+        snap.nodes[2].self_nanos = 90_000_000;
+        let out = render_hidden_self_time(&snap);
+        assert!(out.ends_with("of profiled total): none\n"), "{out}");
     }
 
     #[test]

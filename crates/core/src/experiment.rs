@@ -370,6 +370,8 @@ pub fn try_run_experiment_traced(
     let mut applied_alloc: Option<aum_platform::rdt::RdtAllocation> = None;
     let mut rdt_pending: std::collections::VecDeque<(usize, aum_platform::rdt::RdtAllocation)> =
         std::collections::VecDeque::new();
+    // Scratch for the recent-latency windows, reused every interval.
+    let mut window_buf: Vec<f64> = Vec::with_capacity(TTFT_WINDOW.max(TPOT_WINDOW));
 
     for step in 0..steps {
         let _prof = aum_sim::prof::scope("ctrl.interval");
@@ -386,6 +388,7 @@ pub fn try_run_experiment_traced(
         // --- 0. Fault plane: fire every edge due at this boundary, in
         // script order (multi-event exactness: nothing is skipped, nothing
         // fires twice). ---
+        let prof = aum_sim::prof::scope("ctrl.fault");
         let now_secs = now.as_secs_f64();
         let mut faults_changed = false;
         while fault_cursor < fault_schedule.len() && fault_schedule[fault_cursor].0 <= now_secs {
@@ -466,17 +469,21 @@ pub fn try_run_experiment_traced(
                 _ => {}
             }
         }
+        drop(prof);
 
         // --- 1. Manager observes and decides. ---
+        let prof = aum_sim::prof::scope("ctrl.observe");
         let (ttft_p50, ttft_p90) = recent_quantiles(
-            engine.ttft_records().iter().map(|r| r.ttft.as_secs_f64()),
-            engine.ttft_records().len(),
-            30,
+            engine.ttft_records(),
+            TTFT_WINDOW,
+            |r| r.ttft.as_secs_f64(),
+            &mut window_buf,
         );
         let (tpot_p50, tpot_p90) = recent_quantiles(
-            engine.token_records().iter().map(|r| r.exec.as_secs_f64()),
-            engine.token_records().len(),
-            300,
+            engine.token_records(),
+            TPOT_WINDOW,
+            |r| r.exec.as_secs_f64(),
+            &mut window_buf,
         );
         let state = SystemState {
             now,
@@ -519,6 +526,7 @@ pub fn try_run_experiment_traced(
             }
             state
         };
+        drop(prof);
         let decision = {
             let _prof = aum_sim::prof::scope("ctrl.decide");
             manager.decide(&state)
@@ -538,6 +546,7 @@ pub fn try_run_experiment_traced(
         // --- 1c. RDT write path: under an RdtWriteFailure the requested
         // allocation is silently dropped (delay 0) or lands late; the
         // hardware keeps its previous programming meanwhile. ---
+        let prof = aum_sim::prof::scope("ctrl.rdt");
         let requested = decision.allocation;
         let alloc = match rdt_failure {
             None => {
@@ -584,8 +593,10 @@ pub fn try_run_experiment_traced(
             spec.l2_ways,
             be_present,
         );
+        drop(prof);
 
         // --- 2. Describe platform loads. ---
+        let prof = aum_sim::prof::scope("ctrl.loads");
         let prefill_amp = crate::calib::au_cache_profile(AuUsageLevel::High)
             .bandwidth_amplification(spec, au_llc);
         let decode_amp =
@@ -661,12 +672,14 @@ pub fn try_run_experiment_traced(
             platform.thermal().drop_for(AuUsageLevel::Low).value(),
             platform.thermal().drop_for(AuUsageLevel::None).value(),
         ];
+        drop(prof);
         let snap = {
             let _prof = aum_sim::prof::scope("platform.step");
             platform.step(dt, &loads)
         };
 
         // --- 3. Advance the serving engine with granted resources. ---
+        let prof = aum_sim::prof::scope("ctrl.resources");
         let smt = be_profile
             .as_ref()
             .filter(|_| decision.smt_sharing)
@@ -712,6 +725,7 @@ pub fn try_run_experiment_traced(
             },
             mode: decision.engine_mode,
         };
+        drop(prof);
         let stats = engine.run_interval(until, &res);
         // Wall-clock heartbeat for the run-health watchdog: a long single
         // cell still counts as progress once per control interval.
@@ -739,6 +753,7 @@ pub fn try_run_experiment_traced(
         }
 
         // --- 4. Integrate BE progress. ---
+        let prof = aum_sim::prof::scope("ctrl.be");
         if let Some(be) = &be_profile {
             let mut units = 0.0;
             if div.cores(AuUsageLevel::None) > 0 {
@@ -777,8 +792,10 @@ pub fn try_run_experiment_traced(
             }
             be_units += units;
         }
+        drop(prof);
 
         // --- Attribution ledger. ---
+        let prof = aum_sim::prof::scope("ctrl.ledger");
         // Decompose this interval's package power into per-region static
         // and dynamic watts, mirroring `PlatformSim`'s power closure term
         // by term: the ledger rows must re-derive `snap.power` so the
@@ -915,8 +932,10 @@ pub fn try_run_experiment_traced(
             }
         }
         ledger.intervals.push(interval);
+        drop(prof);
 
         // --- Accounting. ---
+        let prof = aum_sim::prof::scope("ctrl.accounting");
         energy_j += snap.power.value() * dt_secs;
         prefill_tokens += stats.prefill_tokens;
         decode_tokens += stats.decode_tokens;
@@ -956,6 +975,7 @@ pub fn try_run_experiment_traced(
         last_stats.decode_busy = stats.decode_busy;
         last_power = snap.power.value();
         last_bw_util = snap.bw_utilization;
+        drop(prof);
     }
 
     let secs = cfg.duration.as_secs_f64();
@@ -1075,15 +1095,26 @@ fn apply_core_offline(div: ProcessorDivision, count: usize) -> ProcessorDivision
     ProcessorDivision::new(high, low, none)
 }
 
-/// Quantiles over the most recent `window` of an iterator of length `len`.
-fn recent_quantiles(values: impl Iterator<Item = f64>, len: usize, window: usize) -> (f64, f64) {
-    let skip = len.saturating_sub(window);
-    let recent: Samples = values.skip(skip).collect();
-    if recent.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (recent.quantile(0.5), recent.quantile(0.9))
-    }
+/// Recent TTFT records the manager's p50/p90 observation covers.
+const TTFT_WINDOW: usize = 30;
+/// Recent decode-token records the manager's p50/p90 observation covers.
+const TPOT_WINDOW: usize = 300;
+
+/// p50 and p90 of `secs` over the last `window` of `records` (finite
+/// values only, as [`Samples::record`] keeps), or zeros when there are
+/// none. Reads only the tail and fills the caller's reused `buf`, so the
+/// cost is O(window) however long the run has been.
+fn recent_quantiles<R>(
+    records: &[R],
+    window: usize,
+    secs: impl Fn(&R) -> f64,
+    buf: &mut Vec<f64>,
+) -> (f64, f64) {
+    let tail = &records[records.len().saturating_sub(window)..];
+    buf.clear();
+    buf.extend(tail.iter().map(secs).filter(|v| v.is_finite()));
+    let [p50, p90] = aum_sim::stats::select_quantiles(buf, [0.5, 0.9]);
+    (p50, p90)
 }
 
 #[cfg(test)]
@@ -1283,5 +1314,52 @@ mod tests {
         assert_eq!(out.freq_low.len(), 120); // 60 s / 500 ms
         assert_eq!(out.shared_llc_samples.len(), 120);
         assert!(out.power.value_summary().mean() > 100.0);
+    }
+
+    #[test]
+    fn observation_sees_only_the_last_window_of_records() {
+        use aum_llm::request::{RequestId, TokenRecord, TtftRecord};
+        // Record i has latency i ms. Latencies rise, so any record older
+        // than the window would drag both quantiles down.
+        let latency = |i: usize| SimDuration::from_millis(i as u64);
+        let expected = |n: usize, window: usize| {
+            let recent: Samples = (n.saturating_sub(window)..n)
+                .map(|i| latency(i).as_secs_f64())
+                .collect();
+            (recent.quantile(0.5), recent.quantile(0.9))
+        };
+        let mut buf = Vec::new();
+        for n in [0, 7, TTFT_WINDOW, TTFT_WINDOW + 1, 4 * TTFT_WINDOW] {
+            let ttfts: Vec<TtftRecord> = (0..n)
+                .map(|i| TtftRecord {
+                    id: RequestId(i as u64),
+                    arrival: SimTime::ZERO,
+                    ttft: latency(i),
+                })
+                .collect();
+            let got = recent_quantiles(&ttfts, TTFT_WINDOW, |r| r.ttft.as_secs_f64(), &mut buf);
+            assert_eq!(got, expected(n, TTFT_WINDOW), "{n} TTFT records");
+        }
+        for n in [0, 120, TPOT_WINDOW, TPOT_WINDOW + 1, 4 * TPOT_WINDOW] {
+            let tokens: Vec<TokenRecord> = (0..n)
+                .map(|i| TokenRecord {
+                    id: RequestId(0),
+                    emitted: SimTime::ZERO,
+                    exec: latency(i),
+                })
+                .collect();
+            let got = recent_quantiles(&tokens, TPOT_WINDOW, |r| r.exec.as_secs_f64(), &mut buf);
+            assert_eq!(got, expected(n, TPOT_WINDOW), "{n} token records");
+        }
+        // 100 TTFTs: only 70..=99 ms count, so p50 sits between 84 and 85 ms.
+        let ttfts: Vec<TtftRecord> = (0..100)
+            .map(|i| TtftRecord {
+                id: RequestId(i as u64),
+                arrival: SimTime::ZERO,
+                ttft: latency(i),
+            })
+            .collect();
+        let (p50, _) = recent_quantiles(&ttfts, TTFT_WINDOW, |r| r.ttft.as_secs_f64(), &mut buf);
+        assert!((p50 - 0.0845).abs() < 1e-12, "p50 {p50}");
     }
 }

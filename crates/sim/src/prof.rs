@@ -522,6 +522,22 @@ impl Snapshot {
         out
     }
 
+    /// Non-leaf nodes whose self-time exceeds `max_share` of the
+    /// top-level total, as `(path, share_of_top_level)` pairs in tree
+    /// order. Such self-time is spent outside every child scope, so no
+    /// row below the node explains it.
+    #[must_use]
+    pub fn hidden_self_time(&self, max_share: f64) -> Vec<(String, f64)> {
+        let top = self.top_level_nanos().max(1) as f64;
+        // DFS pre-order: a node has children iff the next node is deeper.
+        self.nodes
+            .windows(2)
+            .filter(|w| w[1].depth > w[0].depth)
+            .map(|w| (w[0].path.clone(), w[0].self_nanos as f64 / top))
+            .filter(|&(_, share)| share > max_share)
+            .collect()
+    }
+
     /// The top `k` nodes by self-time, as `(path, share_of_top_level)`
     /// pairs — the "top-5 phase shares" of `BENCH_<sha>.json`.
     #[must_use]

@@ -3,7 +3,9 @@
 //! The paper reports 50% ("average" in its bucket tables), 90% tail, and
 //! full CDFs of performance and resource allocations. [`Summary`] provides
 //! streaming moments; [`Samples`] retains observations for exact quantiles
-//! and CDF extraction.
+//! and CDF extraction. Every exact quantile goes through one selection
+//! kernel, [`select_quantiles`], which callers with their own buffer can
+//! use directly.
 
 use serde::{Deserialize, Serialize};
 
@@ -193,7 +195,7 @@ impl Samples {
         }
     }
 
-    /// Exact sample quantile with nearest-rank interpolation.
+    /// Exact sample quantile ([`select_quantiles`] on a copy).
     ///
     /// Returns 0 for an empty set.
     ///
@@ -202,22 +204,19 @@ impl Samples {
     /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let mut copy = self.clone();
-        copy.ensure_sorted();
-        let n = copy.values.len();
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            copy.values[lo]
-        } else {
-            let frac = pos - lo as f64;
-            copy.values[lo] * (1.0 - frac) + copy.values[hi] * frac
-        }
+        let [v] = self.quantiles([q]);
+        v
+    }
+
+    /// Several exact quantiles from one copy of the samples; element `i`
+    /// equals `self.quantile(qs[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `q` is outside `[0, 1]`.
+    #[must_use]
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        select_quantiles(&mut self.values.clone(), qs)
     }
 
     /// Fraction of observations at or below `threshold`.
@@ -265,6 +264,66 @@ impl Samples {
         }
         s
     }
+}
+
+/// Exact quantiles of `values`, the one exact-quantile kernel of the crate.
+///
+/// Each `q` maps to position `q·(n−1)` in ascending order and is linearly
+/// interpolated between the order statistics at its floor and ceiling —
+/// the same values a full sort would give, found by selection instead:
+/// `select_nth_unstable_by` places the floor rank, and the ceiling rank is
+/// the minimum of the partition to its right. Quantiles are answered in
+/// the order given; a rank at or above the previous one only searches the
+/// part right of it. `values` is reordered. Values are compared with
+/// [`f64::total_cmp`], so the result is deterministic for any input.
+///
+/// Returns all zeros for empty `values`.
+///
+/// # Panics
+///
+/// Panics if any `q` is outside `[0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use aum_sim::stats::select_quantiles;
+///
+/// let mut v = [4.0, 1.0, 3.0, 2.0];
+/// assert_eq!(select_quantiles(&mut v, [0.0, 0.5, 1.0]), [1.0, 2.5, 4.0]);
+/// ```
+#[must_use]
+pub fn select_quantiles<const N: usize>(values: &mut [f64], qs: [f64; N]) -> [f64; N] {
+    for q in qs {
+        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+    }
+    let mut out = [0.0; N];
+    let n = values.len();
+    if n == 0 {
+        return out;
+    }
+    // Nothing left of `pivot` is greater than anything from `pivot` on, so
+    // a rank at or above it is found within `values[pivot..]`.
+    let mut pivot = 0;
+    for (slot, q) in out.iter_mut().zip(qs) {
+        let pos = q * (n - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        let from = if lo >= pivot { pivot } else { 0 };
+        values[from..].select_nth_unstable_by(lo - from, f64::total_cmp);
+        pivot = lo;
+        *slot = if lo == hi {
+            values[lo]
+        } else {
+            let above = values[hi..]
+                .iter()
+                .copied()
+                .min_by(f64::total_cmp)
+                .expect("hi < n, so the right partition is non-empty");
+            let frac = pos - lo as f64;
+            values[lo] * (1.0 - frac) + above * frac
+        };
+    }
+    out
 }
 
 impl FromIterator<f64> for Samples {
@@ -429,6 +488,24 @@ mod tests {
     fn quantile_of_empty_is_zero() {
         let s = Samples::new();
         assert_eq!(s.quantile(0.5), 0.0);
+    }
+
+    #[test]
+    fn select_quantiles_of_empty_is_zeros() {
+        assert_eq!(select_quantiles(&mut [], [0.0, 0.5, 0.9, 1.0]), [0.0; 4]);
+        assert_eq!(Samples::new().quantiles([0.5, 0.99]), [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile out of range")]
+    fn select_quantiles_rejects_q_above_one() {
+        let _ = select_quantiles(&mut [1.0, 2.0], [0.5, 1.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile out of range")]
+    fn select_quantiles_rejects_q_below_zero_even_when_empty() {
+        let _ = select_quantiles(&mut [], [-0.1]);
     }
 
     #[test]

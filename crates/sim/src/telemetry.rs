@@ -823,9 +823,10 @@ impl MetricsRegistry {
             let mut gauges = self.gauges.clone();
             for (name, samples) in &self.histograms {
                 if !samples.is_empty() {
-                    gauges.insert(format!("{name}/p50"), samples.quantile(0.50));
-                    gauges.insert(format!("{name}/p90"), samples.quantile(0.90));
-                    gauges.insert(format!("{name}/p99"), samples.quantile(0.99));
+                    let [p50, p90, p99] = samples.quantiles([0.50, 0.90, 0.99]);
+                    gauges.insert(format!("{name}/p50"), p50);
+                    gauges.insert(format!("{name}/p90"), p90);
+                    gauges.insert(format!("{name}/p99"), p99);
                 }
             }
             self.gauges_cache = None;

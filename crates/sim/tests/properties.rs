@@ -7,7 +7,7 @@ use aum_sim::attrib::{
 };
 use aum_sim::hist::{LogHistogram, SUB_BUCKETS};
 use aum_sim::rng::DetRng;
-use aum_sim::stats::{Histogram, Samples, Summary};
+use aum_sim::stats::{select_quantiles, Histogram, Samples, Summary};
 use aum_sim::time::{SimDuration, SimTime};
 
 /// An arbitrary (possibly degenerate) work split — negatives and all-zero
@@ -89,6 +89,42 @@ proptest! {
             prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
             prop_assert!(v >= last - 1e-9, "quantiles must be monotone in q");
             last = v;
+        }
+    }
+
+    #[test]
+    fn select_quantiles_equals_sort_then_interpolate(
+        values in prop::collection::vec(
+            prop_oneof![(0u8..6).prop_map(|k| f64::from(k) * 0.25), -1e6f64..1e6],
+            1..601,
+        ),
+        rotate in 0usize..5,
+        reverse in any::<bool>(),
+    ) {
+        // The kernel answers quantiles in the order asked: vary that order.
+        let mut qs = [0.0, 0.5, 0.9, 0.99, 1.0];
+        qs.rotate_left(rotate);
+        if reverse {
+            qs.reverse();
+        }
+        // Reference: the sort-then-interpolate path quantiles used to take.
+        let mut sorted = values.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let reference = |q: f64| {
+            let pos = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            if lo == hi {
+                sorted[lo]
+            } else {
+                let frac = pos - lo as f64;
+                sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+            }
+        };
+        let got = select_quantiles(&mut values.clone(), qs);
+        for (q, v) in qs.into_iter().zip(got) {
+            prop_assert_eq!(v.to_bits(), reference(q).to_bits(), "q = {}", q);
+            let [single] = select_quantiles(&mut values.clone(), [q]);
+            prop_assert_eq!(single.to_bits(), v.to_bits(), "q = {}", q);
         }
     }
 
