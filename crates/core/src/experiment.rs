@@ -47,6 +47,7 @@ use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::{BeKind, BeProfile};
 
 use crate::error::AumError;
+use crate::fault::Edge;
 use crate::manager::{ResourceManager, SystemState};
 use crate::prices::{e_cpu, Prices};
 
@@ -196,25 +197,10 @@ fn effective_ways(au: u32, shared: u32, total: u32, be_present: bool) -> (u32, u
 ///
 /// Panics if the manager returns a division that does not cover the
 /// platform's cores, or if the config's fault plan is malformed (use
-/// [`try_run_experiment`] for a clean error).
+/// [`try_run_experiment_traced`] with [`Tracer::disabled`] for a clean
+/// error).
 pub fn run_experiment(cfg: &ExperimentConfig, manager: &mut dyn ResourceManager) -> Outcome {
     run_experiment_traced(cfg, manager, Tracer::disabled())
-}
-
-/// Fallible variant of [`run_experiment`]: a malformed [`FaultPlan`] or a
-/// manager's short division surfaces as an [`AumError`] instead of a
-/// panic.
-///
-/// # Errors
-///
-/// Returns [`AumError::FaultPlan`] when the config's fault plan fails
-/// validation, and [`AumError::DivisionMismatch`] when the manager returns
-/// a division that does not cover the platform's cores.
-pub fn try_run_experiment(
-    cfg: &ExperimentConfig,
-    manager: &mut dyn ResourceManager,
-) -> Result<Outcome, AumError> {
-    try_run_experiment_traced(cfg, manager, Tracer::disabled())
 }
 
 /// Runs one experiment under `manager` with a trace handle threaded through
@@ -333,35 +319,22 @@ pub fn try_run_experiment_traced(
     // --- Fault plane. ---
     // The plan is validated up front so a malformed script (e.g. from
     // hand-edited JSON) fails the run cleanly before any work happens, and
-    // events scheduled past the run window are warned about rather than
+    // events no control boundary reaches are warned about rather than
     // silently dropped.
     cfg.fault.validate().map_err(AumError::FaultPlan)?;
     let duration_secs = cfg.duration.as_secs_f64();
-    #[derive(Clone, Copy)]
-    enum FaultEdge {
-        Apply,
-        Revert,
+    let last_boundary = steps
+        .checked_sub(1)
+        .map(|last| (SimTime::ZERO + dt * last as u64).as_secs_f64());
+    let (mut fault_replay, outside) = cfg.fault.replay(last_boundary);
+    for i in outside {
+        let ev = &cfg.fault.events[i];
+        tracer.emit(SimTime::ZERO, || Event::FaultOutsideWindow {
+            kind: ev.fault.kind_label().to_string(),
+            at_secs: ev.at_secs,
+            duration_secs,
+        });
     }
-    let mut fault_schedule: Vec<(f64, usize, FaultEdge)> = Vec::new();
-    for (i, ev) in cfg.fault.events.iter().enumerate() {
-        if ev.at_secs >= duration_secs {
-            tracer.emit(SimTime::ZERO, || Event::FaultOutsideWindow {
-                kind: ev.fault.kind_label().to_string(),
-                at_secs: ev.at_secs,
-                duration_secs,
-            });
-            continue;
-        }
-        fault_schedule.push((ev.at_secs, i, FaultEdge::Apply));
-        if let Some(rec) = ev.recover_at_secs {
-            if rec < duration_secs {
-                fault_schedule.push((rec, i, FaultEdge::Revert));
-            }
-        }
-    }
-    // Stable sort: same-instant edges keep script order.
-    fault_schedule.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(core::cmp::Ordering::Equal));
-    let mut fault_cursor = 0usize;
     let mut fault_active = vec![false; cfg.fault.events.len()];
     let mut sensor_rng = rng.stream("sensor-faults");
     let mut frozen_sensors: Option<SystemState> = None;
@@ -385,69 +358,44 @@ pub fn try_run_experiment_traced(
             label: format!("interval {step}"),
         });
 
-        // --- 0. Fault plane: fire every edge due at this boundary, in
-        // script order (multi-event exactness: nothing is skipped, nothing
-        // fires twice). ---
+        // --- 0. Fault plane: fire every edge due at this boundary, each
+        // exactly once, in (time, script index) order. ---
         let prof = aum_sim::prof::scope("ctrl.fault");
         let now_secs = now.as_secs_f64();
-        let mut faults_changed = false;
-        while fault_cursor < fault_schedule.len() && fault_schedule[fault_cursor].0 <= now_secs {
-            let (_, idx, edge) = fault_schedule[fault_cursor];
-            fault_cursor += 1;
-            faults_changed = true;
-            let ev = &cfg.fault.events[idx];
-            match edge {
-                FaultEdge::Apply => {
-                    fault_active[idx] = true;
-                    tracer.emit(now, || Event::FaultInjected {
-                        kind: ev.fault.kind_label().to_string(),
-                        detail: ev.fault.detail(),
-                    });
-                    tracer.emit(now, || Event::SpanOpen {
-                        id: SpanId::derive(SpanKind::FaultWindow, idx as u64).0,
-                        parent: None,
-                        kind: SpanKind::FaultWindow,
-                        track: span_track.clone(),
-                        label: format!("fault {}", ev.fault.kind_label()),
-                    });
-                }
-                FaultEdge::Revert => {
-                    fault_active[idx] = false;
-                    tracer.emit(now, || Event::FaultRecovered {
-                        kind: ev.fault.kind_label().to_string(),
-                    });
-                    tracer.emit(now, || Event::SpanClose {
-                        id: SpanId::derive(SpanKind::FaultWindow, idx as u64).0,
-                        kind: SpanKind::FaultWindow,
-                        track: span_track.clone(),
-                    });
-                }
+        let due = fault_replay.due(now_secs);
+        let faults_changed = !due.is_empty();
+        for &Edge { index, apply, .. } in due {
+            let ev = &cfg.fault.events[index];
+            fault_active[index] = apply;
+            let id = SpanId::derive(SpanKind::FaultWindow, index as u64).0;
+            if apply {
+                tracer.emit(now, || Event::FaultInjected {
+                    kind: ev.fault.kind_label().to_string(),
+                    detail: ev.fault.detail(),
+                });
+                tracer.emit(now, || Event::SpanOpen {
+                    id,
+                    parent: None,
+                    kind: SpanKind::FaultWindow,
+                    track: span_track.clone(),
+                    label: format!("fault {}", ev.fault.kind_label()),
+                });
+            } else {
+                tracer.emit(now, || Event::FaultRecovered {
+                    kind: ev.fault.kind_label().to_string(),
+                });
+                tracer.emit(now, || Event::SpanClose {
+                    id,
+                    kind: SpanKind::FaultWindow,
+                    track: span_track.clone(),
+                });
             }
         }
-        if faults_changed {
-            // Recompose platform-side effects from what is active now;
-            // overlapping faults combine by worst effect per subsystem.
-            let mut bw_frac = 1.0f64;
-            let mut cooling = 0.0f64;
-            let mut lock: Option<AuUsageLevel> = None;
-            for (ev, active) in cfg.fault.events.iter().zip(&fault_active) {
-                if !*active {
-                    continue;
-                }
-                match ev.fault {
-                    Fault::BandwidthDegrade { frac } => bw_frac = bw_frac.min(frac),
-                    Fault::ThermalRunaway { severity } => cooling = cooling.max(severity),
-                    Fault::FrequencyLicenseLock { level } => {
-                        lock = Some(worse_license(lock, level));
-                    }
-                    _ => {}
-                }
-            }
-            platform.degrade_bandwidth(bw_frac)?;
-            platform.set_cooling_loss(cooling);
-            platform.set_license_lock(lock);
-        }
-        // Harness-side fault state for this interval.
+        // Compose what is active now: overlapping faults combine by worst
+        // effect per subsystem.
+        let mut bw_frac = 1.0f64;
+        let mut cooling = 0.0f64;
+        let mut lock: Option<AuUsageLevel> = None;
         let mut offline_cores = 0usize;
         let mut be_surge = 1.0f64;
         let mut sensor_sigma = 0.0f64;
@@ -458,6 +406,9 @@ pub fn try_run_experiment_traced(
                 continue;
             }
             match ev.fault {
+                Fault::BandwidthDegrade { frac } => bw_frac = bw_frac.min(frac),
+                Fault::ThermalRunaway { severity } => cooling = cooling.max(severity),
+                Fault::FrequencyLicenseLock { level } => lock = Some(worse_license(lock, level)),
                 Fault::CoreOffline { count } => offline_cores += count,
                 Fault::BeSurge { factor } => be_surge *= factor,
                 Fault::SensorNoise { sigma } => sensor_sigma = sensor_sigma.max(sigma),
@@ -466,8 +417,12 @@ pub fn try_run_experiment_traced(
                     rdt_failure =
                         Some(rdt_failure.map_or(delay_intervals, |d| d.min(delay_intervals)));
                 }
-                _ => {}
             }
+        }
+        if faults_changed {
+            platform.degrade_bandwidth(bw_frac)?;
+            platform.set_cooling_loss(cooling);
+            platform.set_license_lock(lock);
         }
         drop(prof);
 
@@ -1205,7 +1160,8 @@ mod tests {
         let mut mgr = shared_manager(total);
         mgr.name = "short";
         mgr.decision.division = ProcessorDivision::new(total / 3, total / 4, 1);
-        let err = try_run_experiment(&cfg, &mut mgr).expect_err("short division");
+        let err = try_run_experiment_traced(&cfg, &mut mgr, Tracer::disabled())
+            .expect_err("short division");
         assert!(
             matches!(
                 err,

@@ -6,8 +6,16 @@
 //! [`Fault`] with an activation time and an optional recovery time. The
 //! experiment harness (`crate::experiment`) replays the plan exactly at
 //! control-interval boundaries, emitting `FaultInjected` / `FaultRecovered`
-//! telemetry, and warns (`FaultOutsideWindow`) about events scheduled past
-//! the run window instead of silently dropping them.
+//! telemetry, and warns (`FaultOutsideWindow`) about events no boundary
+//! can reach instead of silently dropping them.
+//!
+//! The script and its replay are generic: [`FaultScript`] holds any
+//! [`ScriptEvent`] (construction, validation, serde), and its replay
+//! turns it into apply/revert edges fired at each boundary, in (time,
+//! event index, apply before revert) order. An edge fires at the first
+//! boundary `>=` its time; an event with no such boundary is outside the
+//! window. Both fault planes use this one definition and keep only their
+//! effects.
 //!
 //! The taxonomy covers every failure mode the platform model already
 //! simulates — memory RAS events, cooling loss, stuck license firmware,
@@ -20,15 +28,18 @@
 //! This plane stops at the node boundary: every fault here degrades *one*
 //! server from the inside. Node-scoped failures — whole-node crashes,
 //! stragglers, router partitions, rolling-restart drains — live in the
-//! fleet resilience plane ([`crate::fleet::NodeFaultPlan`]), which reuses
-//! this module's scripting conventions (deterministic activation times,
-//! optional recovery, `null`-tolerant serde) at cluster granularity.
+//! fleet resilience plane, whose [`crate::fleet::NodeFaultPlan`] is this
+//! module's script over node-scoped events, replayed at router-epoch
+//! boundaries by the same replay.
 //!
-//! Serde back-compat: older configs carried
-//! `"fault": {"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}` or
-//! `"fault": null`. [`FaultPlan`]'s hand-written `Deserialize` accepts both
-//! legacy shapes alongside the new `{"events": [...]}` form, so existing
-//! experiment JSON keeps loading.
+//! Serde: every script renders empty as `null` and decodes `null`,
+//! `{"events": [...]}` or a bare event list. Older experiment configs
+//! also carried `"fault": {"BandwidthDegrade": {"at_secs": 120.0, "frac":
+//! 0.6}}`; [`FaultPlan`] accepts that legacy shape through
+//! [`ScriptEvent::legacy_events`], so existing experiment JSON keeps
+//! loading.
+
+use std::cmp::Ordering;
 
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
@@ -217,36 +228,71 @@ impl FaultEvent {
     }
 }
 
-/// An ordered script of timed fault events — the chaos run's screenplay.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultPlan {
-    /// The scripted events, sorted by activation time.
-    pub events: Vec<FaultEvent>,
+/// One entry of a [`FaultScript`]: when it strikes, when (if ever) it
+/// heals, and whether its own fault parameters are meaningful.
+pub trait ScriptEvent: Sized {
+    /// Name of the plan type, for error messages.
+    const PLAN: &'static str;
+
+    /// Activation time, seconds from run start.
+    fn at_secs(&self) -> f64;
+
+    /// Recovery time, seconds; `None` = permanent.
+    fn recover_at_secs(&self) -> Option<f64>;
+
+    /// Checks the fault's own parameters; timing is checked by
+    /// [`FaultScript::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the malformed parameter.
+    fn validate_fault(&self) -> Result<(), String>;
+
+    /// Decodes script shapes only this event type accepts, beyond `null`,
+    /// `{"events": [...]}` and a bare list; `None` = not such a shape.
+    fn legacy_events(_content: &Content) -> Option<Result<Vec<Self>, DeError>> {
+        None
+    }
 }
 
-impl FaultPlan {
+/// An ordered script of timed events, shared by the server fault plane
+/// ([`FaultPlan`]) and the fleet fault plane
+/// ([`crate::fleet::NodeFaultPlan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultScript<E> {
+    /// The scripted events, sorted by activation time.
+    pub events: Vec<E>,
+}
+
+impl<E> Default for FaultScript<E> {
+    fn default() -> Self {
+        FaultScript { events: Vec::new() }
+    }
+}
+
+impl<E: ScriptEvent> FaultScript<E> {
     /// A healthy run: no faults.
     #[must_use]
     pub fn none() -> Self {
-        FaultPlan::default()
+        FaultScript::default()
     }
 
     /// A plan of the given events, sorted by activation time (stable for
     /// ties, so same-instant events apply in authoring order).
     #[must_use]
-    pub fn new(mut events: Vec<FaultEvent>) -> Self {
+    pub fn new(mut events: Vec<E>) -> Self {
         events.sort_by(|a, b| {
-            a.at_secs
-                .partial_cmp(&b.at_secs)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            a.at_secs()
+                .partial_cmp(&b.at_secs())
+                .unwrap_or(Ordering::Equal)
         });
-        FaultPlan { events }
+        FaultScript { events }
     }
 
     /// A single-event plan.
     #[must_use]
-    pub fn single(event: FaultEvent) -> Self {
-        FaultPlan {
+    pub fn single(event: E) -> Self {
+        FaultScript {
             events: vec![event],
         }
     }
@@ -257,39 +303,113 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Checks every event for physically meaningful parameters and sane
-    /// timing.
+    /// Checks every event for meaningful parameters and sane timing.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed event.
     pub fn validate(&self) -> Result<(), String> {
         for (i, ev) in self.events.iter().enumerate() {
-            if !(ev.at_secs.is_finite() && ev.at_secs >= 0.0) {
+            let at = ev.at_secs();
+            if !(at.is_finite() && at >= 0.0) {
                 return Err(format!(
-                    "event {i}: at_secs must be finite and >= 0, got {}",
-                    ev.at_secs
+                    "event {i}: at_secs must be finite and >= 0, got {at}"
                 ));
             }
-            if let Some(rec) = ev.recover_at_secs {
-                if !(rec.is_finite() && rec > ev.at_secs) {
+            if let Some(rec) = ev.recover_at_secs() {
+                if !(rec.is_finite() && rec > at) {
                     return Err(format!(
-                        "event {i}: recover_at_secs must be finite and > at_secs ({}), got {rec}",
-                        ev.at_secs
+                        "event {i}: recover_at_secs must be finite and > at_secs ({at}), got {rec}"
                     ));
                 }
             }
-            ev.fault.validate().map_err(|e| format!("event {i}: {e}"))?;
+            ev.validate_fault().map_err(|e| format!("event {i}: {e}"))?;
         }
         Ok(())
     }
+
+    /// Plans this script's replay over a run whose last boundary is
+    /// `last_boundary` seconds (`None` = the run has no boundary).
+    ///
+    /// Returns the replay and, in script order, the indices of events
+    /// outside the window — no boundary `>=` their activation time
+    /// remains, so they never fire. A recovery after the last boundary
+    /// never fires either: the fault stays active to the end of the run.
+    #[must_use]
+    pub(crate) fn replay(&self, last_boundary: Option<f64>) -> (Replay, Vec<usize>) {
+        let reaches = |secs: f64| last_boundary.is_some_and(|last| secs <= last);
+        let mut edges = Vec::new();
+        let mut outside = Vec::new();
+        for (index, ev) in self.events.iter().enumerate() {
+            if !reaches(ev.at_secs()) {
+                outside.push(index);
+                continue;
+            }
+            edges.push(Edge {
+                at_secs: ev.at_secs(),
+                index,
+                apply: true,
+            });
+            if let Some(rec) = ev.recover_at_secs().filter(|&rec| reaches(rec)) {
+                edges.push(Edge {
+                    at_secs: rec,
+                    index,
+                    apply: false,
+                });
+            }
+        }
+        edges.sort_by(|a, b| {
+            a.at_secs
+                .partial_cmp(&b.at_secs)
+                .unwrap_or(Ordering::Equal)
+                .then(a.index.cmp(&b.index))
+                .then(b.apply.cmp(&a.apply))
+        });
+        (Replay { edges, next: 0 }, outside)
+    }
 }
 
-impl Serialize for FaultPlan {
+/// One edge of a replayed script: event `index` strikes (`apply`) or
+/// heals at `at_secs`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Edge {
+    /// Scripted time of the edge, seconds.
+    pub(crate) at_secs: f64,
+    /// Index of the event in [`FaultScript::events`].
+    pub(crate) index: usize,
+    /// `true` = the fault strikes, `false` = it heals.
+    pub(crate) apply: bool,
+}
+
+/// Edge-exact replay of a [`FaultScript`] at a run's boundaries (control
+/// intervals or router epochs), built by [`FaultScript::replay`].
+///
+/// Edges are ordered by (time, event index, apply before revert), so
+/// same-instant edges fire in script order and a window that opens and
+/// closes between two boundaries applies and then reverts at the next
+/// one. Every edge fires exactly once.
+#[derive(Debug, Clone)]
+pub(crate) struct Replay {
+    edges: Vec<Edge>,
+    next: usize,
+}
+
+impl Replay {
+    /// Fires every edge not fired yet whose time is `<=` `boundary`, in
+    /// replay order. Boundaries must be passed in ascending order.
+    pub(crate) fn due(&mut self, boundary: f64) -> &[Edge] {
+        let start = self.next;
+        self.next += self.edges[start..].partition_point(|e| e.at_secs <= boundary);
+        &self.edges[start..self.next]
+    }
+}
+
+impl<E: Serialize> Serialize for FaultScript<E> {
     fn to_content(&self) -> Content {
         if self.events.is_empty() {
-            // Keep the healthy default rendering as `"fault": null`, the
-            // shape pre-FaultPlan configs used.
+            // Keep the healthy default rendering as `null`, the shape
+            // pre-plan configs used (and legacy ClusterConfig JSON without
+            // fleet fields degrades to).
             return Content::Null;
         }
         Content::Map(vec![(
@@ -299,70 +419,81 @@ impl Serialize for FaultPlan {
     }
 }
 
-/// Variant names of [`Fault`] recognized in the legacy single-fault shape.
-const FAULT_VARIANTS: [&str; 8] = [
-    "BandwidthDegrade",
-    "ThermalRunaway",
-    "FrequencyLicenseLock",
-    "CoreOffline",
-    "RdtWriteFailure",
-    "BeSurge",
-    "SensorNoise",
-    "SensorDropout",
-];
-
-impl Deserialize for FaultPlan {
+impl<E: ScriptEvent + Deserialize> Deserialize for FaultScript<E> {
     fn from_content(content: &Content) -> Result<Self, DeError> {
-        let events: Vec<FaultEvent> = match content {
-            // Old configs: `"fault": null`.
+        let list = |items: &[Content]| items.iter().map(E::from_content).collect::<Result<_, _>>();
+        let events: Vec<E> = match content {
+            // Old configs: `null`.
             Content::Null => Vec::new(),
-            // New shape: `{"events": [...]}`.
+            // `{"events": [...]}`.
             Content::Map(entries) if content_get(entries, "events").is_some() => {
-                let seq = content_get(entries, "events").expect("checked");
-                match seq {
-                    Content::Seq(items) => items
-                        .iter()
-                        .map(FaultEvent::from_content)
-                        .collect::<Result<_, _>>()?,
-                    other => return Err(DeError::expected("sequence", "FaultPlan.events", other)),
+                match content_get(entries, "events").expect("checked") {
+                    Content::Seq(items) => list(items)?,
+                    other => {
+                        let when = format!("{}.events", E::PLAN);
+                        return Err(DeError::expected("sequence", &when, other));
+                    }
                 }
             }
             // Bare list of events.
-            Content::Seq(items) => items
-                .iter()
-                .map(FaultEvent::from_content)
-                .collect::<Result<_, _>>()?,
-            // Legacy single-fault shape, externally tagged:
-            // `{"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}`.
-            // The timing field lived inside the variant body back then, so
-            // it is lifted out here; the Fault derive ignores the extra key.
-            Content::Map(entries)
-                if entries.len() == 1 && FAULT_VARIANTS.contains(&entries[0].0.as_str()) =>
-            {
-                let fault = Fault::from_content(content)?;
-                let at_secs = match &entries[0].1 {
-                    Content::Map(body) => match content_get(body, "at_secs") {
-                        Some(v) => f64::from_content(v)?,
-                        None => 0.0,
-                    },
-                    _ => 0.0,
-                };
-                vec![FaultEvent::permanent(at_secs, fault)]
-            }
-            // Legacy unit-variant string (future-proofing the same shape).
-            Content::Str(_) => vec![FaultEvent::permanent(0.0, Fault::from_content(content)?)],
-            other => return Err(DeError::expected("fault plan", "FaultPlan", other)),
+            Content::Seq(items) => list(items)?,
+            other => match E::legacy_events(other) {
+                Some(events) => events?,
+                None => return Err(DeError::expected("fault plan", E::PLAN, other)),
+            },
         };
-        let plan = FaultPlan::new(events);
+        let plan = FaultScript::new(events);
         plan.validate()
-            .map_err(|e| DeError::custom(format!("invalid FaultPlan: {e}")))?;
+            .map_err(|e| DeError::custom(format!("invalid {}: {e}", E::PLAN)))?;
         Ok(plan)
     }
 }
 
+impl ScriptEvent for FaultEvent {
+    const PLAN: &'static str = "FaultPlan";
+
+    fn at_secs(&self) -> f64 {
+        self.at_secs
+    }
+
+    fn recover_at_secs(&self) -> Option<f64> {
+        self.recover_at_secs
+    }
+
+    fn validate_fault(&self) -> Result<(), String> {
+        self.fault.validate()
+    }
+
+    fn legacy_events(content: &Content) -> Option<Result<Vec<Self>, DeError>> {
+        let at_secs = match content {
+            // Legacy single-fault shape, externally tagged:
+            // `{"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}`.
+            // The timing field lived inside the variant body back then, so
+            // it is lifted out here; the Fault derive ignores the extra key.
+            Content::Map(entries) if entries.len() == 1 => match &entries[0].1 {
+                Content::Map(body) => content_get(body, "at_secs"),
+                _ => None,
+            },
+            // Legacy unit-variant string (future-proofing the same shape).
+            Content::Str(_) => None,
+            _ => return None,
+        };
+        let decode = || -> Result<Vec<Self>, DeError> {
+            let fault = Fault::from_content(content)?;
+            let at_secs = at_secs.map(f64::from_content).transpose()?;
+            Ok(vec![FaultEvent::permanent(at_secs.unwrap_or(0.0), fault)])
+        };
+        Some(decode())
+    }
+}
+
+/// An ordered script of timed fault events — the chaos run's screenplay.
+pub type FaultPlan = FaultScript<FaultEvent>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn plans_sort_events_by_time() {
@@ -421,6 +552,75 @@ mod tests {
         for f in all {
             assert!(!f.kind_label().is_empty());
             assert!(!f.detail().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_window_between_two_boundaries_applies_then_reverts() {
+        let plan = FaultPlan::new(vec![
+            FaultEvent::windowed(10.2, 10.8, Fault::SensorDropout),
+            FaultEvent::permanent(10.5, Fault::BeSurge { factor: 2.0 }),
+        ]);
+        let (mut replay, outside) = plan.replay(Some(20.0));
+        assert!(outside.is_empty());
+        assert!(replay.due(10.0).is_empty());
+        let fired: Vec<(usize, bool)> = replay
+            .due(11.0)
+            .iter()
+            .map(|e| (e.index, e.apply))
+            .collect();
+        // Time order first; the window's revert follows its apply.
+        assert_eq!(fired, vec![(0, true), (1, true), (0, false)]);
+        assert!(replay.due(20.0).is_empty(), "every edge fires once");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After each boundary, the replayed active set equals the direct
+        /// rule: an event is active once the first boundary at or after its
+        /// start has passed, until the first boundary at or after its
+        /// recovery.
+        #[test]
+        fn replay_matches_the_first_boundary_rule(
+            boundaries in 0usize..12,
+            raw in prop::collection::vec((0u32..56, 0u32..10), 0..8),
+        ) {
+            // Eighth-second event times against half-second boundaries:
+            // many windows open and close between two boundaries.
+            let at = |b: usize| b as f64 * 0.5;
+            let plan = FaultPlan::new(
+                raw.iter()
+                    .map(|&(start, len)| {
+                        let start = f64::from(start) * 0.125;
+                        let recover = (len > 0).then(|| start + f64::from(len) * 0.125);
+                        FaultEvent {
+                            at_secs: start,
+                            fault: Fault::SensorDropout,
+                            recover_at_secs: recover,
+                        }
+                    })
+                    .collect(),
+            );
+            let first_boundary = |secs: f64| (0..boundaries).find(|&b| secs <= at(b));
+            let (mut replay, outside) = plan.replay(boundaries.checked_sub(1).map(at));
+            let expected_outside: Vec<usize> = (0..plan.events.len())
+                .filter(|&i| first_boundary(plan.events[i].at_secs).is_none())
+                .collect();
+            prop_assert_eq!(outside, expected_outside);
+            let mut active = vec![false; plan.events.len()];
+            for b in 0..boundaries {
+                for edge in replay.due(at(b)) {
+                    active[edge.index] = edge.apply;
+                }
+                for (i, ev) in plan.events.iter().enumerate() {
+                    let expected = first_boundary(ev.at_secs).is_some_and(|s| s <= b)
+                        && ev
+                            .recover_at_secs
+                            .is_none_or(|r| first_boundary(r).is_none_or(|r| r > b));
+                    prop_assert_eq!(active[i], expected, "event {} at boundary {}", i, b);
+                }
+            }
         }
     }
 }

@@ -7,7 +7,10 @@
 //! granularity: a [`NodeFaultPlan`] scripts node-scoped failures
 //! (crash/restart, sustained straggler slowdown, network partition from
 //! the router, rolling-restart drain) with deterministic timing, and
-//! [`run_fleet`] replays them through an epoch-based router loop:
+//! [`run_fleet`] replays them through an epoch-based router loop. The
+//! plan is [`crate::fault`]'s [`FaultScript`] over [`NodeFaultEvent`]s,
+//! and its edges fire through that module's replay at epoch boundaries;
+//! this module adds only the node effects:
 //!
 //! - **Health state machine** — per epoch, every node is Healthy →
 //!   Suspect → Down (heartbeat misses), or Draining/Recovering (scripted
@@ -55,7 +58,7 @@
 //! sequence-within-epoch) — no global counters — so the stream is
 //! byte-identical at any `--jobs` level.
 
-use serde::{content_get, Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 use aum_sim::hist::LogHistogram;
 use aum_sim::span::{SpanId, SpanKind};
@@ -64,11 +67,12 @@ use aum_sim::time::SimTime;
 use aum_workloads::gpu::CpuAnchor;
 
 use crate::cluster::{ClusterConfig, RoutingPolicy};
+use crate::fault::{Edge, FaultScript, ScriptEvent};
 
 /// One node-scoped failure mode the fleet fault plane can inject.
 ///
 /// Parameters describe magnitude only; *which node* and *when* live on the
-/// enclosing [`NodeFaultEvent`] (mirroring [`crate::fault::Fault`]).
+/// enclosing [`NodeFaultEvent`] (as for [`crate::fault::Fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum NodeFault {
     /// The node crashes: heartbeats stop, assigned requests strand.
@@ -168,76 +172,28 @@ impl NodeFaultEvent {
     }
 }
 
-/// An ordered script of timed node faults — the fleet chaos screenplay.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NodeFaultPlan {
-    /// The scripted events, sorted by activation time.
-    pub events: Vec<NodeFaultEvent>,
+impl ScriptEvent for NodeFaultEvent {
+    const PLAN: &'static str = "NodeFaultPlan";
+
+    fn at_secs(&self) -> f64 {
+        self.at_secs
+    }
+
+    fn recover_at_secs(&self) -> Option<f64> {
+        self.recover_at_secs
+    }
+
+    fn validate_fault(&self) -> Result<(), String> {
+        self.fault.validate()
+    }
 }
 
+/// An ordered script of timed node faults — the fleet chaos screenplay.
+pub type NodeFaultPlan = FaultScript<NodeFaultEvent>;
+
 impl NodeFaultPlan {
-    /// A healthy fleet: no node faults.
-    #[must_use]
-    pub fn none() -> Self {
-        NodeFaultPlan::default()
-    }
-
-    /// A plan of the given events, sorted by activation time (stable for
-    /// ties, so same-instant events apply in authoring order).
-    #[must_use]
-    pub fn new(mut events: Vec<NodeFaultEvent>) -> Self {
-        events.sort_by(|a, b| {
-            a.at_secs
-                .partial_cmp(&b.at_secs)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        NodeFaultPlan { events }
-    }
-
-    /// A single-event plan.
-    #[must_use]
-    pub fn single(event: NodeFaultEvent) -> Self {
-        NodeFaultPlan {
-            events: vec![event],
-        }
-    }
-
-    /// Whether the plan schedules anything.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Checks every event for meaningful parameters and sane timing.
-    /// Node indices are checked against the fleet size at run time via
-    /// [`NodeFaultPlan::validate_for`] (the plan alone does not know it).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed event.
-    pub fn validate(&self) -> Result<(), String> {
-        for (i, ev) in self.events.iter().enumerate() {
-            if !(ev.at_secs.is_finite() && ev.at_secs >= 0.0) {
-                return Err(format!(
-                    "event {i}: at_secs must be finite and >= 0, got {}",
-                    ev.at_secs
-                ));
-            }
-            if let Some(rec) = ev.recover_at_secs {
-                if !(rec.is_finite() && rec > ev.at_secs) {
-                    return Err(format!(
-                        "event {i}: recover_at_secs must be finite and > at_secs ({}), got {rec}",
-                        ev.at_secs
-                    ));
-                }
-            }
-            ev.fault.validate().map_err(|e| format!("event {i}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// [`NodeFaultPlan::validate`] plus node-index bounds for a fleet of
-    /// `nodes` servers.
+    /// [`FaultScript::validate`] plus node-index bounds for a fleet of
+    /// `nodes` servers (the plan alone does not know the fleet size).
     ///
     /// # Errors
     ///
@@ -253,48 +209,6 @@ impl NodeFaultPlan {
             }
         }
         Ok(())
-    }
-}
-
-impl Serialize for NodeFaultPlan {
-    fn to_content(&self) -> Content {
-        if self.events.is_empty() {
-            // Healthy default renders as `null`, the shape legacy
-            // ClusterConfig JSON (no fleet fields at all) degrades to.
-            return Content::Null;
-        }
-        Content::Map(vec![(
-            "events".to_string(),
-            Content::Seq(self.events.iter().map(Serialize::to_content).collect()),
-        )])
-    }
-}
-
-impl Deserialize for NodeFaultPlan {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let events: Vec<NodeFaultEvent> = match content {
-            Content::Null => Vec::new(),
-            Content::Map(entries) if content_get(entries, "events").is_some() => {
-                match content_get(entries, "events").expect("checked") {
-                    Content::Seq(items) => items
-                        .iter()
-                        .map(NodeFaultEvent::from_content)
-                        .collect::<Result<_, _>>()?,
-                    other => {
-                        return Err(DeError::expected("sequence", "NodeFaultPlan.events", other))
-                    }
-                }
-            }
-            Content::Seq(items) => items
-                .iter()
-                .map(NodeFaultEvent::from_content)
-                .collect::<Result<_, _>>()?,
-            other => return Err(DeError::expected("node fault plan", "NodeFaultPlan", other)),
-        };
-        let plan = NodeFaultPlan::new(events);
-        plan.validate()
-            .map_err(|e| DeError::custom(format!("invalid NodeFaultPlan: {e}")))?;
-        Ok(plan)
     }
 }
 
@@ -641,8 +555,6 @@ pub fn run_fleet_traced(
     let duration_secs = cfg.duration.as_secs_f64();
     let epochs = (duration_secs / params.epoch_secs).ceil().max(1.0) as u64;
     let at_of = |e: u64| SimTime::from_secs_f64(e as f64 * params.epoch_secs);
-    let epoch_at_or_after =
-        |secs: f64| -> u64 { (secs / params.epoch_secs).ceil().max(0.0) as u64 };
 
     let cap_sum: f64 = capacity_weights.iter().sum();
     let cap_share: Vec<f64> = capacity_weights.iter().map(|w| w / cap_sum).collect();
@@ -662,32 +574,18 @@ pub fn run_fleet_traced(
         RoutingPolicy::AuvWeighted | RoutingPolicy::Failover => cap_share.clone(),
     };
 
-    // Fault schedule: (epoch, seq, event index, apply?) sorted so edges at
-    // one boundary replay in plan order, apply edges before revert edges
-    // scheduled for the same instant by a later event.
-    let mut schedule: Vec<(u64, usize, usize, bool)> = Vec::new();
-    for (i, ev) in cfg.fault_plan.events.iter().enumerate() {
-        let at = epoch_at_or_after(ev.at_secs);
-        if at >= epochs {
-            tracer.emit(at_of(epochs.saturating_sub(1)), || {
-                Event::FaultOutsideWindow {
-                    kind: ev.fault.kind_label().to_string(),
-                    at_secs: ev.at_secs,
-                    duration_secs,
-                }
-            });
-            continue;
-        }
-        schedule.push((at, i, i, true));
-        if let Some(rec) = ev.recover_at_secs {
-            let rec_at = epoch_at_or_after(rec);
-            if rec_at < epochs {
-                schedule.push((rec_at, i, i, false));
-            }
-        }
+    // Fault replay: edges fire at the first epoch boundary at or after
+    // their scripted time; events past the last boundary are warned about.
+    let boundary = |e: u64| e as f64 * params.epoch_secs;
+    let (mut fault_replay, outside) = cfg.fault_plan.replay(Some(boundary(epochs - 1)));
+    for i in outside {
+        let ev = &cfg.fault_plan.events[i];
+        tracer.emit(at_of(epochs - 1), || Event::FaultOutsideWindow {
+            kind: ev.fault.kind_label().to_string(),
+            at_secs: ev.at_secs,
+            duration_secs,
+        });
     }
-    schedule.sort_by_key(|&(e, seq, _, apply)| (e, seq, apply));
-    let mut schedule_iter = schedule.into_iter().peekable();
 
     let mut nodes: Vec<NodeState> = (0..n).map(|_| NodeState::new()).collect();
     // Per-node observability: labels/tracks from config strings, one
@@ -734,13 +632,9 @@ pub fn run_fleet_traced(
             track: track.to_string(),
         });
 
-        // 1. Replay scripted fault edges landing on this boundary.
-        while let Some(&(edge_epoch, _, idx, apply)) = schedule_iter.peek() {
-            if edge_epoch != e {
-                break;
-            }
-            schedule_iter.next();
-            let ev = &cfg.fault_plan.events[idx];
+        // 1. Replay scripted fault edges due at this boundary.
+        for &Edge { index, apply, .. } in fault_replay.due(boundary(e)) {
+            let ev = &cfg.fault_plan.events[index];
             let node = &mut nodes[ev.node];
             match (ev.fault, apply) {
                 (NodeFault::Crash, a) => node.crashed = a,
@@ -1476,6 +1370,44 @@ mod tests {
         assert!(records.iter().any(
             |r| matches!(&r.event, Event::FaultOutsideWindow { kind, .. } if kind == "Crash")
         ));
+    }
+
+    #[test]
+    fn a_crash_window_inside_one_epoch_applies_then_recovers() {
+        // Both edges land on the t = 11 s boundary: the crash must apply
+        // and then heal there, never the other way round.
+        let cfg = fleet_cfg(NodeFaultPlan::single(NodeFaultEvent::windowed(
+            0,
+            10.2,
+            10.8,
+            NodeFault::Crash,
+        )));
+        let (out, records) = captured(&cfg, RoutingPolicy::Failover, &even_weights(3));
+        let edges: Vec<(SimTime, bool)> = records
+            .iter()
+            .filter_map(|r| match r.event {
+                Event::NodeFault {
+                    node: 0, active, ..
+                } => Some((r.at, active)),
+                _ => None,
+            })
+            .collect();
+        let t11 = SimTime::from_secs_f64(11.0);
+        assert_eq!(edges, vec![(t11, true), (t11, false)]);
+        let mut health = [NodeHealth::Healthy; 3];
+        for r in &records {
+            if let Event::NodeHealthTransition { node, to, .. } = r.event {
+                health[node] = to;
+            }
+        }
+        assert_eq!(health, [NodeHealth::Healthy; 3], "every node ends Healthy");
+        let healthy = run_fleet(
+            &fleet_cfg(NodeFaultPlan::none()),
+            RoutingPolicy::Failover,
+            &even_weights(3),
+            &Tracer::disabled(),
+        );
+        assert_eq!(out.attainment, healthy.attainment);
     }
 
     #[test]

@@ -152,12 +152,14 @@ impl TriggerKind {
 }
 
 /// Fraction of requests the SLO error budget allows to miss their
-/// deadline; mirrors the `trace-summary` digest.
-const ERROR_BUDGET: f64 = 0.01;
+/// deadline — burn rate 1.0× means "exactly on budget". The one
+/// definition shared by this recorder and the `trace-summary` digest.
+pub const ERROR_BUDGET: f64 = 0.01;
 
 /// Tumbling-window lengths (seconds) of the dual-window burn check; the
-/// short window catches fast burns, the long one filters blips.
-const BURN_WINDOW_SECS: [u64; 2] = [10, 60];
+/// short window catches fast burns, the long one filters blips. Both
+/// burning simultaneously is the page-worthy condition.
+pub const BURN_WINDOW_SECS: [u64; 2] = [10, 60];
 
 /// How far a timestamp may rise above the window walk's running minimum
 /// before it is treated as the previous cell's tail rather than

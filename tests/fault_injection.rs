@@ -294,6 +294,23 @@ fn multi_fault_chaos_script_emits_ordered_telemetry() {
 }
 
 #[test]
+fn an_event_after_the_last_control_boundary_is_warned_about() {
+    // A 20 s run's last control boundary is 19.5 s, so a fault at 19.7 s
+    // can never fire: it must be warned about, not silently dropped.
+    let spec = PlatformSpec::gen_a();
+    let plan = FaultPlan::single(FaultEvent::permanent(
+        19.7,
+        Fault::BandwidthDegrade { frac: 0.6 },
+    ));
+    let (tracer, sink) = Tracer::shared(MemorySink::new());
+    run_experiment_traced(&cfg_with(None, 20, plan), &mut AllAu::new(&spec), tracer);
+    let records = sink.lock().expect("sink lock").records().to_vec();
+    let count = |pred: fn(&Event) -> bool| records.iter().filter(|r| pred(&r.event)).count();
+    assert_eq!(count(|e| matches!(e, Event::FaultInjected { .. })), 0);
+    assert_eq!(count(|e| matches!(e, Event::FaultOutsideWindow { .. })), 1);
+}
+
+#[test]
 fn fault_is_deterministic_too() {
     let spec = PlatformSpec::gen_a();
     let cfg = bw_fault_cfg(None);
