@@ -10,6 +10,7 @@ use aum_llm::traces::Scenario;
 use aum_platform::rdt::{RdtAllocation, ResourceVector};
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::ProcessorDivision;
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
@@ -32,7 +33,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("colocation_60s", |b| {
         b.iter(|| {
             let mut mgr = StaticManager::new("static", decision);
-            run_experiment(&cfg, &mut mgr)
+            run_experiment(&cfg, &mut mgr, Tracer::disabled()).expect("run")
         })
     });
     group.finish();

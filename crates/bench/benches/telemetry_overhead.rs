@@ -11,7 +11,7 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use aum::baselines::AllAu;
-use aum::experiment::{run_experiment_traced, ExperimentConfig};
+use aum::experiment::{run_experiment, ExperimentConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::telemetry::{JsonlSink, MemorySink, MetricsRegistry, NullSink, Tracer};
@@ -25,7 +25,9 @@ fn short_config() -> ExperimentConfig {
 
 fn run_once(cfg: &ExperimentConfig, tracer: Tracer) -> f64 {
     let mut mgr = AllAu::new(&cfg.platform);
-    run_experiment_traced(cfg, &mut mgr, tracer).efficiency
+    run_experiment(cfg, &mut mgr, tracer)
+        .expect("run")
+        .efficiency
 }
 
 fn bench(c: &mut Criterion) {

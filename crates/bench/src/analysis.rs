@@ -12,6 +12,7 @@ use aum::tco::{tco_report, TcoInputs};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::report::{fmt_pct, TextTable};
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
@@ -34,9 +35,10 @@ pub fn sens() -> String {
         });
         let mut cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
         cfg.prices = prices;
-        let aum = run_experiment(&cfg, &mut AumController::new(model));
+        let aum = run_experiment(&cfg, &mut AumController::new(model), Tracer::disabled())
+            .expect("study run");
         let mut smt = aum::baselines::SmtAu::new(&spec);
-        let smt_out = run_experiment(&cfg, &mut smt);
+        let smt_out = run_experiment(&cfg, &mut smt, Tracer::disabled()).expect("study run");
         t.row([
             format!("{}/{}", prices.alpha, prices.beta),
             format!("{:.3}", aum.efficiency),

@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use aum::experiment::{try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan};
+use aum::experiment::{run_experiment, ExperimentConfig, Fault, FaultEvent, FaultPlan};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::attrib::{self, Cause, CauseVec, Ledger, Region};
@@ -95,7 +95,7 @@ pub fn run_study(study: &str, quick: bool) -> Result<StudyReport, String> {
     let cache = ModelCache::new();
     let mut mgr = make_manager(Scheme::Aum, &cfg.platform, cfg.scenario, Some(be), &cache);
     let (tracer, sink) = Tracer::shared(OrderingSink::new(MemorySink::new()));
-    let outcome = try_run_experiment_traced(&cfg, mgr.as_mut(), tracer)
+    let outcome = run_experiment(&cfg, mgr.as_mut(), tracer)
         .map_err(|e| format!("attrib study '{study}' failed: {e}"))?;
     let records = sink
         .lock()

@@ -20,9 +20,7 @@ use std::fmt::Write as _;
 
 use aum::baselines::{AllAu, StaticBest};
 use aum::controller::AumController;
-use aum::experiment::{
-    run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan, Outcome,
-};
+use aum::experiment::{run_experiment, ExperimentConfig, Fault, FaultEvent, FaultPlan, Outcome};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::AuUsageLevel;
@@ -188,22 +186,22 @@ fn run_scheme(
     cfg.duration = SimDuration::from_secs(duration_secs);
     cfg.seed = CHAOS_SEED;
     cfg.fault = plan.clone();
-    match scheme {
+    let (out, entries) = match scheme {
         ChaosScheme::Aum => {
             let mut ctl = AumController::new(cache.model(&spec, Scenario::Chatbot, BeKind::Olap));
-            let out = run_experiment_traced(&cfg, &mut ctl, tracer.clone());
-            let entries = ctl.safe_mode_entries();
-            (out, entries)
+            let out = run_experiment(&cfg, &mut ctl, tracer.clone());
+            (out, ctl.safe_mode_entries())
         }
         ChaosScheme::StaticBest => {
             let mut mgr = StaticBest::new(&cache.model(&spec, Scenario::Chatbot, BeKind::Olap));
-            (run_experiment_traced(&cfg, &mut mgr, Tracer::disabled()), 0)
+            (run_experiment(&cfg, &mut mgr, Tracer::disabled()), 0)
         }
-        ChaosScheme::AllAu => {
-            let mut mgr = AllAu::new(&spec);
-            (run_experiment_traced(&cfg, &mut mgr, Tracer::disabled()), 0)
-        }
-    }
+        ChaosScheme::AllAu => (
+            run_experiment(&cfg, &mut AllAu::new(&spec), Tracer::disabled()),
+            0,
+        ),
+    };
+    (out.expect("chaos cell"), entries)
 }
 
 /// Runs the fault matrix and renders the retention report.

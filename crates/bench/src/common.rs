@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use aum::baselines::{AllAu, AuFi, AuRb, AuUp, RpAu, SmtAu};
 use aum::controller::AumController;
-use aum::experiment::{run_experiment, run_experiment_traced, ExperimentConfig, Outcome};
+use aum::experiment::{run_experiment, ExperimentConfig, Outcome};
 use aum::manager::ResourceManager;
 use aum::profiler::{build_model_traced, AuvModel, ProfilerConfig};
 use aum_llm::traces::Scenario;
@@ -292,25 +292,16 @@ pub fn scheme_outcome(
     be: BeKind,
     cache: &ModelCache,
 ) -> Outcome {
-    scheme_outcome_with_rate(scheme, spec, scenario, be, None, cache)
-}
-
-/// [`scheme_outcome`] with an explicit request-rate override — used by the
-/// cross-platform study where the offered load scales with serving capacity.
-pub fn scheme_outcome_with_rate(
-    scheme: Scheme,
-    spec: &PlatformSpec,
-    scenario: Scenario,
-    be: BeKind,
-    rate: Option<f64>,
-    cache: &ModelCache,
-) -> Outcome {
-    let tracer = if scheme == Scheme::Aum {
-        harness_tracer()
-    } else {
-        Tracer::disabled()
-    };
-    scheme_outcome_cell(scheme, spec, scenario, be, rate, None, cache, &tracer)
+    scheme_outcome_cell(
+        scheme,
+        spec,
+        scenario,
+        be,
+        None,
+        None,
+        cache,
+        &harness_tracer(),
+    )
 }
 
 /// The fully-parameterized scheme cell: explicit tracer (so parallel sweep
@@ -345,7 +336,7 @@ pub fn scheme_outcome_cell(
     } else {
         Tracer::disabled()
     };
-    run_experiment_traced(&cfg, mgr.as_mut(), tracer)
+    run_experiment(&cfg, mgr.as_mut(), tracer).expect("scheme cell")
 }
 
 /// Offered request rate scaled to a platform's serving capacity relative to
@@ -358,15 +349,6 @@ pub fn platform_scaled_rate(spec: &PlatformSpec, scenario: Scenario) -> f64 {
     let bw_ratio = spec.mem_bw.value() / gen_a.mem_bw.value();
     let amx_ratio = spec.amx_peak.value() / gen_a.amx_peak.value();
     scenario.default_rate() * bw_ratio.min(amx_ratio)
-}
-
-/// Runs an exclusive (ALL-AU) experiment with a request-rate override —
-/// used by capacity measurements such as Fig 5.
-pub fn exclusive_capacity(spec: &PlatformSpec, scenario: Scenario, rate: f64) -> Outcome {
-    let mut cfg = ExperimentConfig::paper_default(spec.clone(), scenario, None);
-    cfg.rate = Some(rate);
-    let mut mgr = AllAu::new(spec);
-    run_experiment(&cfg, &mut mgr)
 }
 
 #[cfg(test)]

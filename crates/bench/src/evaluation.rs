@@ -8,7 +8,9 @@ use aum_platform::freq::FrequencyGovernor;
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::AuUsageLevel;
 use aum_sim::report::{fmt3, fmt_pct, TextTable};
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
+use aum_sim::LogHistogram;
 use aum_workloads::be::BeKind;
 
 use crate::common::{harness_tracer, scheme_outcome, scheme_outcome_cell, ModelCache, Scheme};
@@ -31,25 +33,6 @@ pub fn scheme_grid(
     duration: Option<SimDuration>,
     cache: &ModelCache,
 ) -> Vec<Outcome> {
-    scheme_grid_hists(spec, scenarios, bes, schemes, duration, cache).0
-}
-
-/// [`scheme_grid`] that additionally folds every cell's latency histograms
-/// into grid-wide merged distributions, keyed by metric name. The merge
-/// runs in canonical cell order inside
-/// [`aum_sim::exec::sweep_traced_hists`], so — like the trace stream — the
-/// merged histograms are byte-identical for any worker count.
-pub fn scheme_grid_hists(
-    spec: &PlatformSpec,
-    scenarios: &[Scenario],
-    bes: &[BeKind],
-    schemes: &[Scheme],
-    duration: Option<SimDuration>,
-    cache: &ModelCache,
-) -> (
-    Vec<Outcome>,
-    std::collections::BTreeMap<String, aum_sim::LogHistogram>,
-) {
     if schemes.contains(&Scheme::Aum) {
         cache.warm(
             scenarios
@@ -64,16 +47,8 @@ pub fn scheme_grid_hists(
                 .flat_map(move |&be| schemes.iter().map(move |&s| (sc, be, s)))
         })
         .collect();
-    aum_sim::exec::sweep_traced_hists(&harness_tracer(), cells, |_, (sc, be, scheme), tracer| {
-        let o = scheme_outcome_cell(scheme, spec, sc, be, None, duration, cache, &tracer);
-        let hists = vec![
-            ("ttft_seconds".to_string(), o.slo.ttft_hist.clone()),
-            (
-                "tpot_request_seconds".to_string(),
-                o.slo.tpot_req_hist.clone(),
-            ),
-        ];
-        (o, hists)
+    aum_sim::exec::sweep_traced(&harness_tracer(), cells, |_, (sc, be, scheme), tracer| {
+        scheme_outcome_cell(scheme, spec, sc, be, None, duration, cache, &tracer)
     })
 }
 
@@ -170,7 +145,7 @@ pub fn fig14() -> String {
         &harness_tracer(),
     )
     .efficiency;
-    let (grid, hists) = scheme_grid_hists(
+    let grid = scheme_grid(
         &spec,
         &Scenario::ALL,
         &BeKind::ALL,
@@ -211,18 +186,20 @@ pub fn fig14() -> String {
         fmt_pct(mean(&aum_vs_exclusive)),
         fmt_pct(mean(&aum_vs_best_oblivious)),
     ));
-    // Grid-wide latency distributions from the deterministically merged
-    // per-cell histograms (byte-identical at any --jobs).
-    if let (Some(ttft), Some(tpot)) = (hists.get("ttft_seconds"), hists.get("tpot_request_seconds"))
-    {
-        out.push_str(&format!(
-            "Grid-wide TTFT: {} requests, p50 {} p99 {} s | per-request TPOT p99 {} s\n",
-            ttft.count(),
-            fmt3(ttft.quantile(0.5)),
-            fmt3(ttft.quantile(0.99)),
-            fmt3(tpot.quantile(0.99)),
-        ));
+    // Grid-wide latency distributions: the per-cell histograms folded in
+    // cell order, so even the f64 sums are byte-identical at any --jobs.
+    let (mut ttft, mut tpot) = (LogHistogram::default(), LogHistogram::default());
+    for o in &grid {
+        ttft.merge(&o.slo.ttft_hist);
+        tpot.merge(&o.slo.tpot_req_hist);
     }
+    out.push_str(&format!(
+        "Grid-wide TTFT: {} requests, p50 {} p99 {} s | per-request TPOT p99 {} s\n",
+        ttft.count(),
+        fmt3(ttft.quantile(0.5)),
+        fmt3(ttft.quantile(0.99)),
+        fmt3(tpot.quantile(0.99)),
+    ));
     out
 }
 
@@ -378,7 +355,8 @@ pub fn fig18() -> String {
     let model = cache.model(&spec, Scenario::Chatbot, BeKind::SpecJbb);
     let cfg =
         ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, Some(BeKind::SpecJbb));
-    let aum = run_experiment(&cfg, &mut AumController::new(model));
+    let aum = run_experiment(&cfg, &mut AumController::new(model), Tracer::disabled())
+        .expect("study run");
     let rp = scheme_outcome(
         Scheme::RpAu,
         &spec,

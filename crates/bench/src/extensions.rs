@@ -15,6 +15,7 @@ use aum_llm::ops::Phase;
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::report::{fmt3, fmt_pct, TextTable};
+use aum_sim::telemetry::Tracer;
 use aum_workloads::be::BeKind;
 
 use aum_llm::traces::RateProfile;
@@ -97,7 +98,7 @@ pub fn adapt() -> String {
         "division switches",
     ]);
     let mut plain = AumController::new(model.clone());
-    let plain_out = run_experiment(&cfg, &mut plain);
+    let plain_out = run_experiment(&cfg, &mut plain, Tracer::disabled()).expect("study run");
     t.row([
         "AUM".to_string(),
         fmt3(plain_out.efficiency),
@@ -106,7 +107,7 @@ pub fn adapt() -> String {
         plain.switch_count().to_string(),
     ]);
     let mut refined = AumController::new(model).with_online_refinement(0.15);
-    let refined_out = run_experiment(&cfg, &mut refined);
+    let refined_out = run_experiment(&cfg, &mut refined, Tracer::disabled()).expect("study run");
     t.row([
         "AUM + online refinement".to_string(),
         fmt3(refined_out.efficiency),
@@ -115,7 +116,7 @@ pub fn adapt() -> String {
         refined.switch_count().to_string(),
     ]);
     let mut rp = aum::baselines::RpAu::new(&spec);
-    let rp_out = run_experiment(&cfg, &mut rp);
+    let rp_out = run_experiment(&cfg, &mut rp, Tracer::disabled()).expect("study run");
     t.row([
         "RP-AU".to_string(),
         fmt3(rp_out.efficiency),
@@ -154,7 +155,8 @@ pub fn ablate() -> String {
         let model = build_model(&pc);
         let runs = model.profiling_runs;
         let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
-        let out = run_experiment(&cfg, &mut AumController::new(model));
+        let out = run_experiment(&cfg, &mut AumController::new(model), Tracer::disabled())
+            .expect("study run");
         t.row([
             format!("{divs} x {cfgs}"),
             runs.to_string(),
@@ -166,8 +168,14 @@ pub fn ablate() -> String {
     // model and compare against the adaptive controller.
     let full_model = build_model(&ProfilerConfig::paper_default(spec.clone(), scenario, be));
     let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
-    let static_out = run_experiment(&cfg, &mut aum::baselines::StaticBest::new(&full_model));
-    let aum_out = run_experiment(&cfg, &mut AumController::new(full_model));
+    let mut static_best = aum::baselines::StaticBest::new(&full_model);
+    let static_out = run_experiment(&cfg, &mut static_best, Tracer::disabled()).expect("study run");
+    let aum_out = run_experiment(
+        &cfg,
+        &mut AumController::new(full_model),
+        Tracer::disabled(),
+    )
+    .expect("study run");
     let mut t2 = TextTable::new(["manager", "efficiency gain", "TPOT guarantee"]);
     t2.row([
         "STATIC-BEST (frozen bucket)".to_string(),

@@ -11,6 +11,7 @@ use aum_platform::smt::smt_impact;
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::{AuUsageLevel, ProcessorDivision};
 use aum_sim::report::{fmt3, TextTable};
+use aum_sim::telemetry::Tracer;
 use aum_workloads::be::{BeKind, BeProfile};
 
 use crate::common::{scheme_outcome, ModelCache, Scheme};
@@ -125,7 +126,7 @@ pub fn fig10() -> String {
                 engine_mode: EngineMode::Partitioned,
             },
         );
-        run_experiment(&cfg, &mut mgr)
+        run_experiment(&cfg, &mut mgr, Tracer::disabled()).expect("study run")
     };
     let base = run(variants[3].1);
     let mut t = TextTable::new([
@@ -195,7 +196,7 @@ pub fn fig12() -> String {
                 engine_mode: EngineMode::Partitioned,
             },
         );
-        let o = run_experiment(&cfg, &mut mgr);
+        let o = run_experiment(&cfg, &mut mgr, Tracer::disabled()).expect("study run");
         t.row([
             format!("{division}"),
             fmt3(o.prefill_tps / base.prefill_tps),

@@ -5,7 +5,7 @@
 //! output.
 
 use aum::baselines::RpAu;
-use aum::experiment::{try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan};
+use aum::experiment::{run_experiment, ExperimentConfig, Fault, FaultEvent, FaultPlan};
 use aum_bench::attribution::{run_study, trace_diff, DEFAULT_THRESHOLD_PP};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
@@ -23,7 +23,7 @@ fn traced_run(fault: FaultPlan) -> Vec<TraceRecord> {
     cfg.fault = fault;
     let mut mgr = RpAu::new(&spec);
     let (tracer, sink) = Tracer::shared(OrderingSink::new(MemorySink::new()));
-    try_run_experiment_traced(&cfg, &mut mgr, tracer).expect("conservation must hold");
+    run_experiment(&cfg, &mut mgr, tracer).expect("conservation must hold");
     let records = sink
         .lock()
         .expect("trace sink lock")

@@ -8,7 +8,7 @@
 //!
 //! The grids run at reduced scale (smoke profiler, short experiment
 //! durations) through the *same* code paths the paper-scale studies use —
-//! `build_model_traced`, `evaluation::scheme_grid_hists`, `chaos::run_with`,
+//! `build_model_traced`, `evaluation::scheme_grid`, `chaos::run_with`,
 //! `cluster::run_cluster_with`, `fleetchaos::run_with` — so the gate
 //! exercises the real cell dispatch, cache latching and ordered trace
 //! merge, not a test-only replica.
@@ -21,6 +21,7 @@ use aum_sim::exec;
 use aum_sim::flight::{FlightConfig, FlightRecorder};
 use aum_sim::telemetry::{MemorySink, OrderingSink, Tracer};
 use aum_sim::time::SimDuration;
+use aum_sim::LogHistogram;
 use aum_workloads::be::BeKind;
 
 /// Installs a fresh capture tracer as the harness tracer, runs `f`, and
@@ -74,13 +75,14 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
 
     // --- Fig 14 grid shape (reduced scale): identical Outcome metrics,
     // byte-identical trace, and byte-identical merged latency histograms.
-    // Same scheme_grid_hists code path as the paper run; the smoke-profile
-    // cache and 30 s cells keep debug runtime sane. ---
+    // Same scheme_grid code path and cell-order histogram fold as the
+    // paper run; the smoke-profile cache and 30 s cells keep debug runtime
+    // sane. ---
     let fig14_grid = |jobs: usize| {
         exec::set_jobs(jobs);
         let cache = ModelCache::with_profile(ProfilerConfig::smoke);
         let out = with_captured_trace(|| {
-            let (grid, hists) = aum_bench::evaluation::scheme_grid_hists(
+            let grid = aum_bench::evaluation::scheme_grid(
                 &spec,
                 &[Scenario::Chatbot],
                 &[BeKind::SpecJbb],
@@ -92,7 +94,12 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
                 .iter()
                 .map(|o| serde_json::to_string(o).expect("outcome serializes"))
                 .collect::<Vec<_>>();
-            let hist_state = hists
+            let (mut ttft, mut tpot) = (LogHistogram::default(), LogHistogram::default());
+            for o in &grid {
+                ttft.merge(&o.slo.ttft_hist);
+                tpot.merge(&o.slo.tpot_req_hist);
+            }
+            let hist_state = [("ttft_seconds", ttft), ("tpot_request_seconds", tpot)]
                 .iter()
                 .map(|(name, h)| {
                     format!(

@@ -5,7 +5,7 @@
 use std::fs;
 
 use aum::controller::AumController;
-use aum::experiment::{run_experiment_traced, ExperimentConfig};
+use aum::experiment::{run_experiment, ExperimentConfig};
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
@@ -28,9 +28,9 @@ fn short_colocation_trace_is_consistent_and_lossless() {
     let path =
         std::env::temp_dir().join(format!("aum-telemetry-trace-{}.jsonl", std::process::id()));
     let sink = OrderingSink::new(JsonlSink::create(&path).expect("create trace file"));
-    // `run_experiment_traced` flushes the tracer before returning, so the
+    // `run_experiment` flushes the tracer before returning, so the
     // file is complete even while the sink is still alive.
-    let outcome = run_experiment_traced(&cfg, &mut controller, Tracer::new(sink));
+    let outcome = run_experiment(&cfg, &mut controller, Tracer::new(sink)).expect("run");
 
     let text = fs::read_to_string(&path).expect("read trace back");
     let _ = fs::remove_file(&path);
@@ -115,7 +115,9 @@ fn null_sink_tracing_stays_within_noise_of_disabled() {
 
     let run = |tracer: &Tracer| {
         let mut mgr = AllAu::new(&cfg.platform);
-        run_experiment_traced(&cfg, &mut mgr, tracer.clone()).efficiency
+        run_experiment(&cfg, &mut mgr, tracer.clone())
+            .expect("run")
+            .efficiency
     };
     let median = |tracer: &Tracer| -> f64 {
         let mut xs: Vec<f64> = (0..5)

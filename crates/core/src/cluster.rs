@@ -27,7 +27,7 @@ use aum_workloads::be::BeKind;
 
 use crate::baselines::AllAu;
 use crate::controller::AumController;
-use crate::experiment::{run_experiment_traced, ExperimentConfig, Outcome};
+use crate::experiment::{run_experiment, ExperimentConfig, Outcome};
 use crate::fleet::{FleetParams, NodeFaultPlan};
 use crate::prices::Prices;
 use crate::profiler::{build_model, AuvModel, ProfilerConfig};
@@ -45,7 +45,7 @@ pub enum RoutingPolicy {
     /// use also inform routing.
     AuvWeighted,
     /// AUV-weighted shares, re-weighted every epoch from node health by
-    /// the fleet router ([`crate::fleet::run_fleet`]): a failed node's
+    /// the fleet router ([`crate::fleet::run_fleet_traced`]): a failed node's
     /// share redistributes to survivors. In the steady-state split of
     /// [`run_cluster`] (no faults, no epochs) it is identical to
     /// [`RoutingPolicy::AuvWeighted`].
@@ -92,7 +92,7 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Efficiency prices.
     pub prices: Prices,
-    /// Scripted node faults ([`crate::fleet::run_fleet`] replays them;
+    /// Scripted node faults ([`crate::fleet::run_fleet_traced`] replays them;
     /// the steady-state [`run_cluster`] split ignores them).
     #[serde(default)]
     pub fault_plan: NodeFaultPlan,
@@ -300,9 +300,10 @@ fn run_cluster_weighted(
                 model: aum_llm::config::ModelConfig::llama2_7b(),
             };
             match server.be {
-                Some(_) => run_experiment_traced(&exp, &mut AumController::new(model), cell_tracer),
-                None => run_experiment_traced(&exp, &mut AllAu::new(&server.platform), cell_tracer),
+                Some(_) => run_experiment(&exp, &mut AumController::new(model), cell_tracer),
+                None => run_experiment(&exp, &mut AllAu::new(&server.platform), cell_tracer),
             }
+            .expect("cluster cell")
         },
     );
 

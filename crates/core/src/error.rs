@@ -3,8 +3,8 @@
 use core::fmt;
 
 /// Errors returned by AUM's fallible APIs (AUV-model persistence,
-/// fault-plan validation, resource-manager decisions, attribution-ledger
-/// conservation).
+/// experiment-config and fault-plan validation, resource-manager
+/// decisions, attribution-ledger conservation).
 #[derive(Debug)]
 pub enum AumError {
     /// Filesystem error while reading or writing a model artifact.
@@ -14,6 +14,9 @@ pub enum AumError {
     /// A fault plan is malformed (bad parameters or timing) — experiments
     /// reject it cleanly instead of aborting the process.
     FaultPlan(String),
+    /// An experiment config asks for a zero control interval, which would
+    /// split the run into endless zero-length intervals.
+    ZeroControlInterval,
     /// A resource manager returned a processor division whose cores do
     /// not add up to the platform's.
     DivisionMismatch {
@@ -36,6 +39,7 @@ impl fmt::Display for AumError {
             AumError::Io(e) => write!(f, "model artifact io error: {e}"),
             AumError::Serde(e) => write!(f, "model artifact encoding error: {e}"),
             AumError::FaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
+            AumError::ZeroControlInterval => write!(f, "control interval must be positive"),
             AumError::DivisionMismatch {
                 manager,
                 division,
@@ -54,7 +58,9 @@ impl std::error::Error for AumError {
         match self {
             AumError::Io(e) => Some(e),
             AumError::Serde(e) => Some(e),
-            AumError::FaultPlan(_) | AumError::DivisionMismatch { .. } => None,
+            AumError::FaultPlan(_)
+            | AumError::ZeroControlInterval
+            | AumError::DivisionMismatch { .. } => None,
             AumError::Attribution(e) => Some(e),
         }
     }

@@ -21,6 +21,8 @@
 //! [`crate::fleet`] (the epoch-based resilient router above those
 //! servers); both reuse this harness per node.
 
+use std::collections::VecDeque;
+
 use serde::{Deserialize, Serialize};
 
 use aum_au::topdown::{signature, SignatureKind};
@@ -29,12 +31,16 @@ use aum_llm::config::ModelConfig;
 use aum_llm::engine::{
     EngineConfig, EngineMode, EngineResources, IntervalStats, LlmEngine, RegionResources,
 };
+use aum_llm::kv::KvBudget;
 use aum_llm::slo::SloReport;
 use aum_llm::traces::{RateProfile, Scenario, TraceGenerator};
 use aum_platform::power::ActivityClass;
-use aum_platform::smt::smt_impact;
+use aum_platform::rdt::RdtAllocation;
+use aum_platform::smt::{smt_impact, SmtImpact};
 use aum_platform::spec::PlatformSpec;
-use aum_platform::state::{PlatformSim, RegionLoad, SmtSibling, SMT_POWER_FACTOR};
+use aum_platform::state::{
+    PlatformSim, PlatformSnapshot, RegionLoad, SmtSibling, SMT_POWER_FACTOR,
+};
 use aum_platform::topology::{AuUsageLevel, ProcessorDivision};
 use aum_platform::units::GbPerSec;
 use aum_sim::attrib::{self, IntervalLedger, Ledger, RegionSample, WorkFractions};
@@ -47,8 +53,8 @@ use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::{BeKind, BeProfile};
 
 use crate::error::AumError;
-use crate::fault::Edge;
-use crate::manager::{ResourceManager, SystemState};
+use crate::fault::{Edge, Replay};
+use crate::manager::{Decision, ResourceManager, SystemState};
 use crate::prices::{e_cpu, Prices};
 
 pub use crate::fault::{Fault, FaultEvent, FaultPlan};
@@ -191,340 +197,439 @@ fn effective_ways(au: u32, shared: u32, total: u32, be_present: bool) -> (u32, u
     }
 }
 
-/// Runs one experiment under `manager`.
-///
-/// # Panics
-///
-/// Panics if the manager returns a division that does not cover the
-/// platform's cores, or if the config's fault plan is malformed (use
-/// [`try_run_experiment_traced`] with [`Tracer::disabled`] for a clean
-/// error).
-pub fn run_experiment(cfg: &ExperimentConfig, manager: &mut dyn ResourceManager) -> Outcome {
-    run_experiment_traced(cfg, manager, Tracer::disabled())
-}
-
-/// Runs one experiment under `manager` with a trace handle threaded through
-/// the whole stack: the engine (request lifecycle, iterations), the
-/// platform (frequency/thermal transitions), the manager (decisions with
-/// reasons) and this harness itself (RDT reallocations, fault injection).
-/// With `Tracer::disabled()` this is exactly [`run_experiment`].
-///
-/// # Panics
-///
-/// Panics if the manager returns a division that does not cover the
-/// platform's cores, or if the config's fault plan is malformed (use
-/// [`try_run_experiment_traced`] for a clean error).
-pub fn run_experiment_traced(
-    cfg: &ExperimentConfig,
-    manager: &mut dyn ResourceManager,
-    tracer: Tracer,
-) -> Outcome {
-    try_run_experiment_traced(cfg, manager, tracer)
-        .unwrap_or_else(|e| panic!("experiment failed: {e}"))
-}
-
-/// Fallible variant of [`run_experiment_traced`].
+/// Runs one experiment under `manager`, with `tracer` threaded through the
+/// whole stack: the engine (request lifecycle, iterations), the platform
+/// (frequency/thermal transitions), the manager (decisions with reasons)
+/// and this harness (RDT reallocations, fault injection). Pass
+/// [`Tracer::disabled`] for an untraced run.
 ///
 /// # Errors
 ///
-/// Returns [`AumError::FaultPlan`] when the config's fault plan fails
-/// validation (e.g. a bandwidth fraction outside `(0, 1]` from malformed
-/// JSON), and [`AumError::DivisionMismatch`] when the manager returns a
-/// division that does not cover the platform's cores.
-pub fn try_run_experiment_traced(
+/// [`AumError::ZeroControlInterval`] or [`AumError::FaultPlan`] for a
+/// malformed config, [`AumError::DivisionMismatch`] when the manager's
+/// division does not cover the platform's cores, and
+/// [`AumError::Attribution`] when the attribution ledger does not close.
+pub fn run_experiment(
     cfg: &ExperimentConfig,
     manager: &mut dyn ResourceManager,
     tracer: Tracer,
 ) -> Result<Outcome, AumError> {
-    let spec = &cfg.platform;
-    let total_cores = spec.total_cores();
-    let rate = cfg.rate.unwrap_or_else(|| cfg.scenario.default_rate());
-    let rng = DetRng::from_seed(cfg.seed);
-    let trace = TraceGenerator::new(cfg.scenario, rate)
-        .with_profile(cfg.rate_profile)
-        .generate(&rng, cfg.duration);
-    let engine_cfg = EngineConfig {
-        model: cfg.model.clone(),
-        precision: Precision::Bf16,
-        max_batch: 16,
-        prefill_batch: 1,
-        scenario: cfg.scenario,
-        kv_budget: Some(aum_llm::kv::KvBudget::for_platform(
-            spec,
-            &cfg.model,
-            Precision::Bf16,
-        )),
-        prefill_chunk: None,
-    };
-    let mut engine = LlmEngine::new(engine_cfg, spec, trace);
-    let mut platform = PlatformSim::new(spec.clone());
-    engine.set_tracer(tracer.clone());
-    platform.attach_tracer(tracer.clone());
-    manager.attach_tracer(tracer.clone());
-    // The span track names this run; every distinguishing knob is folded
-    // in so concurrent cells sharing one sink never collide on span ids
-    // (ids are unique per track only).
-    let span_track = format!(
-        "{}/{}+{} c{} r{} s{} d{} f{}",
-        manager.name(),
-        cfg.scenario.code(),
-        cfg.be.map_or_else(|| "none".to_string(), |b| b.to_string()),
-        total_cores,
-        rate,
-        cfg.seed,
-        cfg.duration.as_secs_f64(),
-        cfg.fault.events.len(),
-    );
-    engine.set_span_track(span_track.clone());
-    // The run's SLO deadlines, once, so the trace is self-contained for
-    // burn-rate analysis in `trace-summary`.
-    let slo = cfg.scenario.slo();
-    tracer.emit(SimTime::ZERO, || Event::SloTargets {
-        ttft_secs: slo.ttft.as_secs_f64(),
-        tpot_secs: slo.tpot.as_secs_f64(),
-    });
-    let be_profile = cfg.be.map(BeProfile::of);
-
-    // Feedback state from the previous interval.
-    let mut last_stats = IntervalStats {
-        prefill_busy: 0.5,
-        decode_busy: 0.8,
-        prefill_bw_demand: GbPerSec(90.0),
-        decode_bw_demand: GbPerSec(spec.mem_bw.value() * 1.2),
-        ..Default::default()
-    };
-    let mut last_power = 120.0;
-    let mut last_bw_util = 0.5;
-
-    // Accumulators.
-    let mut energy_j = 0.0;
-    let mut be_units = 0.0;
-    let mut prefill_tokens = 0u64;
-    let mut decode_tokens = 0u64;
-    let mut shared_llc_samples = Samples::new();
-    let mut shared_bw_samples = Samples::new();
-    let mut none_core_samples = Samples::new();
-    let mut freq_low = TimeSeries::new("freq_low_ghz");
-    let mut power_series = TimeSeries::new("power_w");
-
-    let dt = cfg.control_interval;
-    let dt_secs = dt.as_secs_f64();
-    let steps = (cfg.duration.as_nanos() / dt.as_nanos().max(1)) as usize;
-
-    let mut registry = MetricsRegistry::new();
-    let mut last_alloc: Option<aum_platform::rdt::RdtAllocation> = None;
-    let mut ledger = Ledger::new();
-    let mut stall_intervals: u32 = 0;
-
-    // --- Fault plane. ---
-    // The plan is validated up front so a malformed script (e.g. from
-    // hand-edited JSON) fails the run cleanly before any work happens, and
-    // events no control boundary reaches are warned about rather than
-    // silently dropped.
-    cfg.fault.validate().map_err(AumError::FaultPlan)?;
-    let duration_secs = cfg.duration.as_secs_f64();
-    let last_boundary = steps
-        .checked_sub(1)
-        .map(|last| (SimTime::ZERO + dt * last as u64).as_secs_f64());
-    let (mut fault_replay, outside) = cfg.fault.replay(last_boundary);
-    for i in outside {
-        let ev = &cfg.fault.events[i];
-        tracer.emit(SimTime::ZERO, || Event::FaultOutsideWindow {
-            kind: ev.fault.kind_label().to_string(),
-            at_secs: ev.at_secs,
-            duration_secs,
-        });
+    let mut run = Run::new(cfg, manager, tracer)?;
+    for step in 0..run.steps {
+        run.interval(step)?;
     }
-    let mut fault_active = vec![false; cfg.fault.events.len()];
-    let mut sensor_rng = rng.stream("sensor-faults");
-    let mut frozen_sensors: Option<SystemState> = None;
+    run.finish()
+}
+
+#[doc(hidden)]
+pub use self::run_experiment as try_run_experiment_traced;
+
+/// The state of one harness run: the coupled substrates, the fault plane,
+/// the previous interval's feedback and the accumulators the [`Outcome`]
+/// is built from.
+struct Run<'a> {
+    cfg: &'a ExperimentConfig,
+    manager: &'a mut dyn ResourceManager,
+    tracer: Tracer,
+    engine: LlmEngine,
+    platform: PlatformSim,
+    span_track: String,
+    be_profile: Option<BeProfile>,
+    dt: SimDuration,
+    steps: usize,
+
+    // Fault plane.
+    fault_replay: Replay,
+    fault_active: Vec<bool>,
+    sensor_rng: DetRng,
+    frozen_sensors: Option<SystemState>,
     // What the RDT MSRs actually hold vs. what the manager last requested:
     // under an RdtWriteFailure the two diverge.
-    let mut applied_alloc: Option<aum_platform::rdt::RdtAllocation> = None;
-    let mut rdt_pending: std::collections::VecDeque<(usize, aum_platform::rdt::RdtAllocation)> =
-        std::collections::VecDeque::new();
+    applied_alloc: Option<RdtAllocation>,
+    rdt_pending: VecDeque<(usize, RdtAllocation)>,
+    last_alloc: Option<RdtAllocation>,
     // Scratch for the recent-latency windows, reused every interval.
-    let mut window_buf: Vec<f64> = Vec::with_capacity(TTFT_WINDOW.max(TPOT_WINDOW));
+    window_buf: Vec<f64>,
+    stall_intervals: u32,
 
-    for step in 0..steps {
-        let _prof = aum_sim::prof::scope("ctrl.interval");
-        let now = SimTime::ZERO + dt * step as u64;
-        let until = now + dt;
-        tracer.emit(now, || Event::SpanOpen {
-            id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
-            parent: None,
-            kind: SpanKind::ControllerInterval,
-            track: span_track.clone(),
-            label: format!("interval {step}"),
+    // Feedback from the previous interval.
+    last_stats: IntervalStats,
+    last_power: f64,
+    last_bw_util: f64,
+
+    // Accumulators.
+    energy_j: f64,
+    be_units: f64,
+    prefill_tokens: u64,
+    decode_tokens: u64,
+    shared_llc_samples: Samples,
+    shared_bw_samples: Samples,
+    none_core_samples: Samples,
+    freq_low: TimeSeries,
+    power_series: TimeSeries,
+    registry: MetricsRegistry,
+    ledger: Ledger,
+}
+
+/// The faults active in one interval, composed by worst effect per
+/// subsystem, as the phases after the fault plane read them.
+#[derive(Default)]
+struct FaultEffects {
+    offline_cores: usize,
+    be_surge: f64,
+    sensor_sigma: f64,
+    sensor_dropout: bool,
+    rdt_failure: Option<u32>,
+}
+
+/// One interval's observation, its decision as the hardware runs it, and
+/// the platform loads that decision describes.
+struct Interval {
+    /// What the manager observed (`state.now` is the interval's start).
+    state: SystemState,
+    /// The division after any core-offline shadow, the allocation the RDT
+    /// MSRs hold.
+    decision: Decision,
+    au_llc: u32,
+    shared_llc: u32,
+    shared_l2: u32,
+    prefill_amp: f64,
+    decode_amp: f64,
+    loads: [RegionLoad; 4],
+    /// Thermal drops of the High/Low/None regions before the step.
+    pre_drop: [f64; 3],
+    /// SMT impacts on the High and Low regions when the BE shares cores.
+    smt: Option<(SmtImpact, SmtImpact)>,
+}
+
+impl<'a> Run<'a> {
+    /// Set-up: builds the engine and platform, attaches the tracer,
+    /// validates the config and arms the fault replay.
+    fn new(
+        cfg: &'a ExperimentConfig,
+        manager: &'a mut dyn ResourceManager,
+        tracer: Tracer,
+    ) -> Result<Self, AumError> {
+        let spec = &cfg.platform;
+        let total_cores = spec.total_cores();
+        let rate = cfg.rate.unwrap_or_else(|| cfg.scenario.default_rate());
+        let rng = DetRng::from_seed(cfg.seed);
+        let trace = TraceGenerator::new(cfg.scenario, rate)
+            .with_profile(cfg.rate_profile)
+            .generate(&rng, cfg.duration);
+        let engine_cfg = EngineConfig {
+            model: cfg.model.clone(),
+            precision: Precision::Bf16,
+            max_batch: 16,
+            prefill_batch: 1,
+            scenario: cfg.scenario,
+            kv_budget: Some(KvBudget::for_platform(spec, &cfg.model, Precision::Bf16)),
+            prefill_chunk: None,
+        };
+        let mut engine = LlmEngine::new(engine_cfg, spec, trace);
+        let mut platform = PlatformSim::new(spec.clone());
+        engine.set_tracer(tracer.clone());
+        platform.attach_tracer(tracer.clone());
+        manager.attach_tracer(tracer.clone());
+        // The span track names this run; every distinguishing knob is
+        // folded in so concurrent cells sharing one sink never collide on
+        // span ids (ids are unique per track only).
+        let span_track = format!(
+            "{}/{}+{} c{} r{} s{} d{} f{}",
+            manager.name(),
+            cfg.scenario.code(),
+            cfg.be.map_or_else(|| "none".to_string(), |b| b.to_string()),
+            total_cores,
+            rate,
+            cfg.seed,
+            cfg.duration.as_secs_f64(),
+            cfg.fault.events.len(),
+        );
+        engine.set_span_track(span_track.clone());
+        // The run's SLO deadlines, once, so the trace is self-contained
+        // for burn-rate analysis in `trace-summary`.
+        let slo = cfg.scenario.slo();
+        tracer.emit(SimTime::ZERO, || Event::SloTargets {
+            ttft_secs: slo.ttft.as_secs_f64(),
+            tpot_secs: slo.tpot.as_secs_f64(),
         });
 
-        // --- 0. Fault plane: fire every edge due at this boundary, each
-        // exactly once, in (time, script index) order. ---
-        let prof = aum_sim::prof::scope("ctrl.fault");
-        let now_secs = now.as_secs_f64();
-        let due = fault_replay.due(now_secs);
+        // Hand-edited JSON can carry a zero interval or a malformed fault
+        // script: both fail the run cleanly before any work happens.
+        let dt = cfg.control_interval;
+        if dt.as_nanos() == 0 {
+            return Err(AumError::ZeroControlInterval);
+        }
+        cfg.fault.validate().map_err(AumError::FaultPlan)?;
+        let steps = (cfg.duration.as_nanos() / dt.as_nanos()) as usize;
+        // Events no control boundary reaches are warned about rather than
+        // silently dropped.
+        let duration_secs = cfg.duration.as_secs_f64();
+        let last_boundary = steps
+            .checked_sub(1)
+            .map(|last| (SimTime::ZERO + dt * last as u64).as_secs_f64());
+        let (fault_replay, outside) = cfg.fault.replay(last_boundary);
+        for i in outside {
+            let ev = &cfg.fault.events[i];
+            tracer.emit(SimTime::ZERO, || Event::FaultOutsideWindow {
+                kind: ev.fault.kind_label().to_string(),
+                at_secs: ev.at_secs,
+                duration_secs,
+            });
+        }
+
+        Ok(Run {
+            cfg,
+            manager,
+            tracer,
+            engine,
+            platform,
+            span_track,
+            be_profile: cfg.be.map(BeProfile::of),
+            dt,
+            steps,
+            fault_replay,
+            fault_active: vec![false; cfg.fault.events.len()],
+            sensor_rng: rng.stream("sensor-faults"),
+            frozen_sensors: None,
+            applied_alloc: None,
+            rdt_pending: VecDeque::new(),
+            last_alloc: None,
+            window_buf: Vec::with_capacity(TTFT_WINDOW.max(TPOT_WINDOW)),
+            stall_intervals: 0,
+            last_stats: IntervalStats {
+                prefill_busy: 0.5,
+                decode_busy: 0.8,
+                prefill_bw_demand: GbPerSec(90.0),
+                decode_bw_demand: GbPerSec(spec.mem_bw.value() * 1.2),
+                ..Default::default()
+            },
+            last_power: 120.0,
+            last_bw_util: 0.5,
+            energy_j: 0.0,
+            be_units: 0.0,
+            prefill_tokens: 0,
+            decode_tokens: 0,
+            shared_llc_samples: Samples::new(),
+            shared_bw_samples: Samples::new(),
+            none_core_samples: Samples::new(),
+            freq_low: TimeSeries::new("freq_low_ghz"),
+            power_series: TimeSeries::new("power_w"),
+            registry: MetricsRegistry::new(),
+            ledger: Ledger::new(),
+        })
+    }
+
+    /// The sim time of control boundary `step`.
+    fn boundary(&self, step: usize) -> SimTime {
+        SimTime::ZERO + self.dt * step as u64
+    }
+
+    /// One control interval, one call per phase.
+    fn interval(&mut self, step: usize) -> Result<(), AumError> {
+        let _prof = aum_sim::prof::scope("ctrl.interval");
+        let now = self.boundary(step);
+        let until = now + self.dt;
+        let span = SpanId::derive(SpanKind::ControllerInterval, step as u64).0;
+        self.tracer.emit(now, || Event::SpanOpen {
+            id: span,
+            parent: None,
+            kind: SpanKind::ControllerInterval,
+            track: self.span_track.clone(),
+            label: format!("interval {step}"),
+        });
+        let faults = self.fault_edges(now)?;
+        let state = self.observe(now, &faults);
+        let mut decision = self.decide(&state, faults.offline_cores)?;
+        self.rdt_write(step, &mut decision, faults.rdt_failure);
+        let iv = self.platform_loads(state, decision, faults.be_surge);
+        let snap = self.platform_step(&iv.loads);
+        let res = self.engine_resources(&iv, &snap);
+        let stats = self.engine_run(until, &res);
+        self.be_progress(&iv, &snap);
+        self.attribute(&iv, &snap);
+        self.account(&iv, &snap, &stats);
+        self.tracer.emit(until, || Event::SpanClose {
+            id: span,
+            kind: SpanKind::ControllerInterval,
+            track: self.span_track.clone(),
+        });
+        Ok(())
+    }
+
+    /// Fault plane: fires every edge due at this boundary, each exactly
+    /// once, in (time, script index) order, then composes what is active.
+    fn fault_edges(&mut self, now: SimTime) -> Result<FaultEffects, AumError> {
+        let _prof = aum_sim::prof::scope("ctrl.fault");
+        let events = &self.cfg.fault.events;
+        let due = self.fault_replay.due(now.as_secs_f64());
         let faults_changed = !due.is_empty();
         for &Edge { index, apply, .. } in due {
-            let ev = &cfg.fault.events[index];
-            fault_active[index] = apply;
+            let ev = &events[index];
+            self.fault_active[index] = apply;
             let id = SpanId::derive(SpanKind::FaultWindow, index as u64).0;
             if apply {
-                tracer.emit(now, || Event::FaultInjected {
+                self.tracer.emit(now, || Event::FaultInjected {
                     kind: ev.fault.kind_label().to_string(),
                     detail: ev.fault.detail(),
                 });
-                tracer.emit(now, || Event::SpanOpen {
+                self.tracer.emit(now, || Event::SpanOpen {
                     id,
                     parent: None,
                     kind: SpanKind::FaultWindow,
-                    track: span_track.clone(),
+                    track: self.span_track.clone(),
                     label: format!("fault {}", ev.fault.kind_label()),
                 });
             } else {
-                tracer.emit(now, || Event::FaultRecovered {
+                self.tracer.emit(now, || Event::FaultRecovered {
                     kind: ev.fault.kind_label().to_string(),
                 });
-                tracer.emit(now, || Event::SpanClose {
+                self.tracer.emit(now, || Event::SpanClose {
                     id,
                     kind: SpanKind::FaultWindow,
-                    track: span_track.clone(),
+                    track: self.span_track.clone(),
                 });
             }
         }
-        // Compose what is active now: overlapping faults combine by worst
-        // effect per subsystem.
         let mut bw_frac = 1.0f64;
         let mut cooling = 0.0f64;
         let mut lock: Option<AuUsageLevel> = None;
-        let mut offline_cores = 0usize;
-        let mut be_surge = 1.0f64;
-        let mut sensor_sigma = 0.0f64;
-        let mut sensor_dropout = false;
-        let mut rdt_failure: Option<u32> = None;
-        for (ev, active) in cfg.fault.events.iter().zip(&fault_active) {
+        let mut fx = FaultEffects {
+            be_surge: 1.0,
+            ..FaultEffects::default()
+        };
+        for (ev, active) in events.iter().zip(&self.fault_active) {
             if !*active {
                 continue;
             }
             match ev.fault {
                 Fault::BandwidthDegrade { frac } => bw_frac = bw_frac.min(frac),
                 Fault::ThermalRunaway { severity } => cooling = cooling.max(severity),
-                Fault::FrequencyLicenseLock { level } => lock = Some(worse_license(lock, level)),
-                Fault::CoreOffline { count } => offline_cores += count,
-                Fault::BeSurge { factor } => be_surge *= factor,
-                Fault::SensorNoise { sigma } => sensor_sigma = sensor_sigma.max(sigma),
-                Fault::SensorDropout => sensor_dropout = true,
-                Fault::RdtWriteFailure { delay_intervals } => {
-                    rdt_failure =
-                        Some(rdt_failure.map_or(delay_intervals, |d| d.min(delay_intervals)));
+                // A High lock caps frequency lower than a Low lock.
+                Fault::FrequencyLicenseLock { level } => lock = lock.max(Some(level)),
+                Fault::CoreOffline { count } => fx.offline_cores += count,
+                Fault::BeSurge { factor } => fx.be_surge *= factor,
+                Fault::SensorNoise { sigma } => fx.sensor_sigma = fx.sensor_sigma.max(sigma),
+                Fault::SensorDropout => fx.sensor_dropout = true,
+                Fault::RdtWriteFailure { delay_intervals: d } => {
+                    fx.rdt_failure = Some(fx.rdt_failure.map_or(d, |f| f.min(d)));
                 }
             }
         }
         if faults_changed {
-            platform.degrade_bandwidth(bw_frac)?;
-            platform.set_cooling_loss(cooling);
-            platform.set_license_lock(lock);
+            self.platform.degrade_bandwidth(bw_frac)?;
+            self.platform.set_cooling_loss(cooling);
+            self.platform.set_license_lock(lock);
         }
-        drop(prof);
+        Ok(fx)
+    }
 
-        // --- 1. Manager observes and decides. ---
-        let prof = aum_sim::prof::scope("ctrl.observe");
+    /// Observe: the telemetry the manager sees, as sensor faults corrupt
+    /// it (the ground truth driving the engine and platform stays intact).
+    fn observe(&mut self, now: SimTime, faults: &FaultEffects) -> SystemState {
+        let _prof = aum_sim::prof::scope("ctrl.observe");
         let (ttft_p50, ttft_p90) = recent_quantiles(
-            engine.ttft_records(),
+            self.engine.ttft_records(),
             TTFT_WINDOW,
             |r| r.ttft.as_secs_f64(),
-            &mut window_buf,
+            &mut self.window_buf,
         );
         let (tpot_p50, tpot_p90) = recent_quantiles(
-            engine.token_records(),
+            self.engine.token_records(),
             TPOT_WINDOW,
             |r| r.exec.as_secs_f64(),
-            &mut window_buf,
+            &mut self.window_buf,
         );
-        let state = SystemState {
+        let mut state = SystemState {
             now,
-            scenario: cfg.scenario,
-            be: cfg.be,
-            queue_len: engine.queue_len(),
-            head_wait: engine.head_wait(),
-            decode_batch: engine.decode_batch(),
-            worst_lag_secs: engine.worst_lag_secs(),
+            scenario: self.cfg.scenario,
+            be: self.cfg.be,
+            queue_len: self.engine.queue_len(),
+            head_wait: self.engine.head_wait(),
+            decode_batch: self.engine.decode_batch(),
+            worst_lag_secs: self.engine.worst_lag_secs(),
             recent_ttft_p50: ttft_p50,
             recent_ttft_p90: ttft_p90,
             recent_tpot_p50: tpot_p50,
             recent_tpot_p90: tpot_p90,
-            power_w: last_power,
-            bw_utilization: last_bw_util,
+            power_w: self.last_power,
+            bw_utilization: self.last_bw_util,
         };
-        // --- 1b. Sensor faults corrupt what the manager observes (the
-        // ground truth driving the engine/platform stays intact). ---
-        let state = if sensor_dropout {
+        if faults.sensor_dropout {
             // Stale readback: the manager keeps seeing the last frame from
             // before the dropout, only the clock advances.
-            let frozen = frozen_sensors.get_or_insert_with(|| state.clone());
-            let mut stale = frozen.clone();
+            let mut stale = self.frozen_sensors.get_or_insert(state).clone();
             stale.now = now;
-            stale
-        } else {
-            frozen_sensors = None;
-            let mut state = state;
-            if sensor_sigma > 0.0 {
-                // Multiplicative lognormal noise on the continuous sensors:
-                // stays positive, is unbiased in log space, and scales with
-                // the reading's magnitude like real measurement jitter.
-                let mut jitter = |v: f64| v * sensor_rng.normal(0.0, sensor_sigma).exp();
-                state.recent_ttft_p50 = jitter(state.recent_ttft_p50);
-                state.recent_ttft_p90 = jitter(state.recent_ttft_p90);
-                state.recent_tpot_p50 = jitter(state.recent_tpot_p50);
-                state.recent_tpot_p90 = jitter(state.recent_tpot_p90);
-                state.power_w = jitter(state.power_w);
-                state.bw_utilization = jitter(state.bw_utilization);
-            }
-            state
-        };
-        drop(prof);
-        let decision = {
-            let _prof = aum_sim::prof::scope("ctrl.decide");
-            manager.decide(&state)
-        };
-        let div = decision.division;
-        if div.total_cores() != total_cores {
+            return stale;
+        }
+        self.frozen_sensors = None;
+        let sigma = faults.sensor_sigma;
+        if sigma > 0.0 {
+            // Multiplicative lognormal noise on the continuous sensors:
+            // stays positive, is unbiased in log space, and scales with
+            // the reading's magnitude like real measurement jitter.
+            let mut jitter = |v: f64| v * self.sensor_rng.normal(0.0, sigma).exp();
+            state.recent_ttft_p50 = jitter(state.recent_ttft_p50);
+            state.recent_ttft_p90 = jitter(state.recent_ttft_p90);
+            state.recent_tpot_p50 = jitter(state.recent_tpot_p50);
+            state.recent_tpot_p90 = jitter(state.recent_tpot_p90);
+            state.power_w = jitter(state.power_w);
+            state.bw_utilization = jitter(state.bw_utilization);
+        }
+        state
+    }
+
+    /// Decide: the manager's decision, its division checked against the
+    /// platform. A CoreOffline fault shadows the division the hardware
+    /// runs: the manager's view stays full-width (it cannot see the dead
+    /// cores), the hardware comes up short.
+    fn decide(&mut self, state: &SystemState, offline: usize) -> Result<Decision, AumError> {
+        let _prof = aum_sim::prof::scope("ctrl.decide");
+        let decision = self.manager.decide(state);
+        let total_cores = self.cfg.platform.total_cores();
+        if decision.division.total_cores() != total_cores {
             return Err(AumError::DivisionMismatch {
-                manager: manager.name(),
-                division: div,
+                manager: self.manager.name(),
+                division: decision.division,
                 total_cores,
             });
         }
-        // CoreOffline shadows the division the platform actually runs: the
-        // manager's view stays full-width (it cannot see the dead cores),
-        // the hardware comes up short.
-        let div = apply_core_offline(div, offline_cores);
-        // --- 1c. RDT write path: under an RdtWriteFailure the requested
-        // allocation is silently dropped (delay 0) or lands late; the
-        // hardware keeps its previous programming meanwhile. ---
-        let prof = aum_sim::prof::scope("ctrl.rdt");
+        let division = apply_core_offline(decision.division, offline);
+        Ok(Decision {
+            division,
+            ..decision
+        })
+    }
+
+    /// RDT write path: under an RdtWriteFailure the requested allocation
+    /// is silently dropped (delay 0) or lands late, and the hardware keeps
+    /// its previous programming meanwhile. Leaves in `decision` what the
+    /// MSRs hold.
+    fn rdt_write(&mut self, step: usize, decision: &mut Decision, failure: Option<u32>) {
+        let _prof = aum_sim::prof::scope("ctrl.rdt");
         let requested = decision.allocation;
-        let alloc = match rdt_failure {
+        let alloc = match failure {
             None => {
-                rdt_pending.clear();
-                applied_alloc = Some(requested);
+                self.rdt_pending.clear();
+                self.applied_alloc = Some(requested);
                 requested
             }
-            Some(0) => applied_alloc.unwrap_or(requested),
+            Some(0) => self.applied_alloc.unwrap_or(requested),
             Some(delay) => {
                 let due = step + delay as usize;
-                if rdt_pending.back().map(|&(_, a)| a) != Some(requested) {
-                    rdt_pending.push_back((due, requested));
+                if self.rdt_pending.back().map(|&(_, a)| a) != Some(requested) {
+                    self.rdt_pending.push_back((due, requested));
                 }
-                while rdt_pending.front().is_some_and(|&(d, _)| d <= step) {
-                    let (_, a) = rdt_pending.pop_front().expect("front exists");
-                    applied_alloc = Some(a);
+                while self.rdt_pending.front().is_some_and(|&(d, _)| d <= step) {
+                    let (_, a) = self.rdt_pending.pop_front().expect("front exists");
+                    self.applied_alloc = Some(a);
                 }
-                applied_alloc.unwrap_or(requested)
+                self.applied_alloc.unwrap_or(requested)
             }
         };
-        if let Some(prev) = last_alloc {
-            if prev != alloc {
-                tracer.emit(now, || Event::RdtReallocation {
+        if let Some(prev) = self.last_alloc.filter(|&prev| prev != alloc) {
+            self.tracer
+                .emit(self.boundary(step), || Event::RdtReallocation {
                     llc_ways_from: prev.au.llc_ways,
                     llc_ways_to: alloc.au.llc_ways,
                     l2_ways_from: prev.au.l2_ways,
@@ -532,72 +637,62 @@ pub fn try_run_experiment_traced(
                     mem_bw_from: prev.au.mem_bw_frac,
                     mem_bw_to: alloc.au.mem_bw_frac,
                 });
-            }
         }
-        last_alloc = Some(alloc);
-        let be_present = be_profile.is_some();
-        let (au_llc, shared_llc) = effective_ways(
-            alloc.au.llc_ways,
-            alloc.shared.llc_ways,
-            spec.llc_ways,
-            be_present,
-        );
-        let (_au_l2, shared_l2) = effective_ways(
-            alloc.au.l2_ways,
-            alloc.shared.l2_ways,
-            spec.l2_ways,
-            be_present,
-        );
-        drop(prof);
+        self.last_alloc = Some(alloc);
+        decision.allocation = alloc;
+    }
 
-        // --- 2. Describe platform loads. ---
-        let prof = aum_sim::prof::scope("ctrl.loads");
-        let prefill_amp = crate::calib::au_cache_profile(AuUsageLevel::High)
-            .bandwidth_amplification(spec, au_llc);
-        let decode_amp =
-            crate::calib::au_cache_profile(AuUsageLevel::Low).bandwidth_amplification(spec, au_llc);
-        let sibling = |duty: f64| -> Option<SmtSibling> {
-            match (&be_profile, decision.smt_sharing) {
-                (Some(p), true) => Some(SmtSibling {
-                    class: p.activity,
-                    duty,
-                }),
-                _ => None,
-            }
-        };
+    /// Platform loads: each region's load for the platform step, from the
+    /// decision, the effective cache capacities and the previous
+    /// interval's duty and demand.
+    fn platform_loads(&self, state: SystemState, decision: Decision, be_surge: f64) -> Interval {
+        let _prof = aum_sim::prof::scope("ctrl.loads");
+        let spec = &self.cfg.platform;
+        let (div, alloc) = (decision.division, decision.allocation);
+        let ways = |au, shared, total| effective_ways(au, shared, total, self.be_profile.is_some());
+        let (au_llc, shared_llc) = ways(alloc.au.llc_ways, alloc.shared.llc_ways, spec.llc_ways);
+        let (_, shared_l2) = ways(alloc.au.l2_ways, alloc.shared.l2_ways, spec.l2_ways);
+        let amp =
+            |level| crate::calib::au_cache_profile(level).bandwidth_amplification(spec, au_llc);
+        let (prefill_amp, decode_amp) = (amp(AuUsageLevel::High), amp(AuUsageLevel::Low));
+        // A BE on the AU cores' SMT siblings.
+        let smt_be = self.be_profile.as_ref().filter(|_| decision.smt_sharing);
+        let sibling = smt_be.map(|p| SmtSibling {
+            class: p.activity,
+            duty: 0.9,
+        });
         // Demands are duty-weighted: a phase that is busy 20% of the time
         // draws 20% of its running bandwidth on average — in the
         // time-multiplexed mode this is exactly what makes prefill and
         // decode share the pool correctly (they never run simultaneously).
-        let prefill_duty = last_stats.prefill_busy.clamp(0.05, 1.0);
-        let decode_duty = last_stats.decode_busy.clamp(0.05, 1.0);
+        let last = &self.last_stats;
+        let prefill_duty = last.prefill_busy.clamp(0.05, 1.0);
+        let decode_duty = last.decode_busy.clamp(0.05, 1.0);
         let mut loads = [
             RegionLoad {
                 level: AuUsageLevel::High,
                 cores: div.cores(AuUsageLevel::High),
                 class: ActivityClass::Amx,
                 duty: prefill_duty,
-                bw_demand: GbPerSec(
-                    last_stats.prefill_bw_demand.value() * prefill_amp * prefill_duty,
-                ),
+                bw_demand: GbPerSec(last.prefill_bw_demand.value() * prefill_amp * prefill_duty),
                 bw_cap: alloc.au.mem_bw_frac,
-                smt_sibling: sibling(0.9),
+                smt_sibling: sibling,
             },
             RegionLoad {
                 level: AuUsageLevel::Low,
                 cores: div.cores(AuUsageLevel::Low),
                 class: ActivityClass::Avx,
                 duty: decode_duty,
-                bw_demand: GbPerSec(last_stats.decode_bw_demand.value() * decode_amp * decode_duty),
+                bw_demand: GbPerSec(last.decode_bw_demand.value() * decode_amp * decode_duty),
                 bw_cap: alloc.au.mem_bw_frac,
-                smt_sibling: sibling(0.9),
+                smt_sibling: sibling,
             },
             RegionLoad::idle(AuUsageLevel::None, div.cores(AuUsageLevel::None)),
             // Bandwidth placeholder for an SMT-sibling BE (no physical cores).
             RegionLoad::idle(AuUsageLevel::None, 0),
         ];
-        if let Some(be) = &be_profile {
-            let fluct = be.demand_multiplier(now_secs, be_surge);
+        if let Some(be) = &self.be_profile {
+            let fluct = be.demand_multiplier(state.now.as_secs_f64(), be_surge);
             if div.cores(AuUsageLevel::None) > 0 {
                 let cores = div.cores(AuUsageLevel::None);
                 loads[IDX_NONE] = RegionLoad {
@@ -622,66 +717,72 @@ pub fn try_run_experiment_traced(
         // Thermal drops must be read *before* the step: `PlatformSim::step`
         // resolves this interval's frequencies against the pre-advance
         // thermal state, and the attribution ledger charges the same drop.
-        let pre_drop = [
-            platform.thermal().drop_for(AuUsageLevel::High).value(),
-            platform.thermal().drop_for(AuUsageLevel::Low).value(),
-            platform.thermal().drop_for(AuUsageLevel::None).value(),
-        ];
-        drop(prof);
-        let snap = {
-            let _prof = aum_sim::prof::scope("platform.step");
-            platform.step(dt, &loads)
-        };
+        let thermal = self.platform.thermal();
+        let pre_drop = [AuUsageLevel::High, AuUsageLevel::Low, AuUsageLevel::None]
+            .map(|level| thermal.drop_for(level).value());
+        let smt = smt_be.map(|p| {
+            (
+                smt_impact(p.smt, AuUsageLevel::High, 1.0),
+                smt_impact(p.smt, AuUsageLevel::Low, 1.0),
+            )
+        });
+        Interval {
+            state,
+            decision,
+            au_llc,
+            shared_llc,
+            shared_l2,
+            prefill_amp,
+            decode_amp,
+            loads,
+            pre_drop,
+            smt,
+        }
+    }
 
-        // --- 3. Advance the serving engine with granted resources. ---
-        let prof = aum_sim::prof::scope("ctrl.resources");
-        let smt = be_profile
-            .as_ref()
-            .filter(|_| decision.smt_sharing)
-            .map(|p| {
-                (
-                    smt_impact(p.smt, AuUsageLevel::High, 1.0),
-                    smt_impact(p.smt, AuUsageLevel::Low, 1.0),
-                )
-            });
-        let (high_smt_c, high_smt_m) = smt.map_or((1.0, 1.0), |(h, _)| {
-            (h.au_compute_slowdown, h.au_memory_slowdown)
-        });
-        let (low_smt_c, low_smt_m) = smt.map_or((1.0, 1.0), |(_, l)| {
-            (l.au_compute_slowdown, l.au_memory_slowdown)
-        });
-        let engine_cores = |own: usize| match decision.engine_mode {
+    /// Platform step: resolves frequencies, bandwidth grants and power.
+    fn platform_step(&mut self, loads: &[RegionLoad]) -> PlatformSnapshot {
+        let _prof = aum_sim::prof::scope("platform.step");
+        self.platform.step(self.dt, loads)
+    }
+
+    /// Engine resources: what each serving phase gets from the granted
+    /// cores, frequencies and bandwidth.
+    fn engine_resources(&self, iv: &Interval, snap: &PlatformSnapshot) -> EngineResources {
+        let _prof = aum_sim::prof::scope("ctrl.resources");
+        let spec = &self.cfg.platform;
+        let (div, mode) = (iv.decision.division, iv.decision.engine_mode);
+        let engine_cores = |own: usize| match mode {
             EngineMode::TimeMultiplexed => div.au_cores(),
             EngineMode::Partitioned => own,
         };
-        // While a phase actually runs it gets its time-averaged grant
-        // compressed into its busy window, capped by the pool.
-        let sustainable = platform.pool().sustainable().value();
-        let grant_bw = |idx: usize, duty: f64, min_gbs: f64| -> GbPerSec {
-            let g = snap.bw_grants[idx].granted.value() / duty.max(0.05);
-            GbPerSec(g.clamp(min_gbs, sustainable))
+        let sustainable = self.platform.pool().sustainable().value();
+        let region = |level, idx: usize, smt: Option<SmtImpact>| {
+            let (compute, memory) = smt.map_or((1.0, 1.0), |i| {
+                (i.au_compute_slowdown, i.au_memory_slowdown)
+            });
+            // While a phase actually runs it gets its time-averaged grant
+            // compressed into its busy window, capped by the pool.
+            let grant = snap.bw_grants[idx].granted.value() / iv.loads[idx].duty.max(0.05);
+            RegionResources {
+                cores: engine_cores(div.cores(level)),
+                freq_ghz: snap.freqs[idx].value(),
+                bandwidth: GbPerSec(grant.clamp(2.0, sustainable)),
+                memory_penalty: crate::calib::au_llc_penalty(spec, level, iv.au_llc) * memory,
+                compute_penalty: compute,
+            }
         };
-        let prefill_llc_pen = crate::calib::au_llc_penalty(spec, AuUsageLevel::High, au_llc);
-        let decode_llc_pen = crate::calib::au_llc_penalty(spec, AuUsageLevel::Low, au_llc);
-        let res = EngineResources {
-            prefill: RegionResources {
-                cores: engine_cores(div.cores(AuUsageLevel::High)),
-                freq_ghz: snap.freqs[IDX_HIGH].value(),
-                bandwidth: grant_bw(IDX_HIGH, prefill_duty, 2.0),
-                memory_penalty: prefill_llc_pen * high_smt_m,
-                compute_penalty: high_smt_c,
-            },
-            decode: RegionResources {
-                cores: engine_cores(div.cores(AuUsageLevel::Low)),
-                freq_ghz: snap.freqs[IDX_LOW].value(),
-                bandwidth: grant_bw(IDX_LOW, decode_duty, 2.0),
-                memory_penalty: decode_llc_pen * low_smt_m,
-                compute_penalty: low_smt_c,
-            },
-            mode: decision.engine_mode,
-        };
-        drop(prof);
-        let stats = engine.run_interval(until, &res);
+        EngineResources {
+            prefill: region(AuUsageLevel::High, IDX_HIGH, iv.smt.map(|(high, _)| high)),
+            decode: region(AuUsageLevel::Low, IDX_LOW, iv.smt.map(|(_, low)| low)),
+            mode,
+        }
+    }
+
+    /// Engine run: advances the serving engine to `until`, with the
+    /// sim-time stall watchdog.
+    fn engine_run(&mut self, until: SimTime, res: &EngineResources) -> IntervalStats {
+        let stats = self.engine.run_interval(until, res);
         // Wall-clock heartbeat for the run-health watchdog: a long single
         // cell still counts as progress once per control interval.
         aum_sim::live::heartbeat();
@@ -689,85 +790,84 @@ pub fn try_run_experiment_traced(
         // WATCHDOG_STALL_INTERVALS consecutive intervals is a stall —
         // reported as a typed event (and a flight-recorder trigger) once
         // per episode, re-arming when progress resumes.
-        if engine.queue_len() > 0 && stats.prefill_tokens == 0 && stats.decode_tokens == 0 {
-            stall_intervals += 1;
-            if stall_intervals == WATCHDOG_STALL_INTERVALS {
-                let queue_len = engine.queue_len();
+        if self.engine.queue_len() > 0 && stats.prefill_tokens == 0 && stats.decode_tokens == 0 {
+            self.stall_intervals += 1;
+            if self.stall_intervals == WATCHDOG_STALL_INTERVALS {
+                let queue_len = self.engine.queue_len();
                 let detail = format!(
                     "no serving progress for {:.1}s with {queue_len} request(s) queued",
-                    f64::from(WATCHDOG_STALL_INTERVALS) * dt_secs
+                    f64::from(WATCHDOG_STALL_INTERVALS) * self.dt.as_secs_f64()
                 );
-                tracer.emit(until, || Event::WatchdogStall {
+                self.tracer.emit(until, || Event::WatchdogStall {
                     intervals: WATCHDOG_STALL_INTERVALS,
                     queue_len,
                     detail,
                 });
             }
         } else {
-            stall_intervals = 0;
+            self.stall_intervals = 0;
         }
+        stats
+    }
 
-        // --- 4. Integrate BE progress. ---
-        let prof = aum_sim::prof::scope("ctrl.be");
-        if let Some(be) = &be_profile {
-            let mut units = 0.0;
-            if div.cores(AuUsageLevel::None) > 0 {
-                let slowdown = snap.bw_grants[IDX_NONE].slowdown.max(1.0);
-                units += be.throughput(
-                    spec,
-                    div.cores(AuUsageLevel::None),
-                    snap.freqs[IDX_NONE].value(),
-                    shared_llc,
-                    shared_l2,
-                    slowdown,
-                    1.0,
-                ) * dt_secs;
-            }
-            if decision.smt_sharing {
-                let slowdown = snap.bw_grants[IDX_SIBLING].slowdown.max(1.0);
-                let (high_i, low_i) = smt.expect("smt impacts exist when smt_sharing");
-                units += be.throughput(
-                    spec,
-                    div.cores(AuUsageLevel::High),
-                    snap.freqs[IDX_HIGH].value(),
-                    shared_llc,
-                    shared_l2,
-                    slowdown,
-                    high_i.be_slowdown,
-                ) * dt_secs;
-                units += be.throughput(
-                    spec,
-                    div.cores(AuUsageLevel::Low),
-                    snap.freqs[IDX_LOW].value(),
-                    shared_llc,
-                    shared_l2,
-                    slowdown,
-                    low_i.be_slowdown,
-                ) * dt_secs;
-            }
-            be_units += units;
+    /// BE progress: the co-runner's throughput on its own cores and on the
+    /// AU cores' SMT siblings.
+    fn be_progress(&mut self, iv: &Interval, snap: &PlatformSnapshot) {
+        let _prof = aum_sim::prof::scope("ctrl.be");
+        let Some(be) = &self.be_profile else {
+            return;
+        };
+        let div = iv.decision.division;
+        let units = |level, idx: usize, grant: usize, smt_slowdown: f64| {
+            let slowdown = snap.bw_grants[grant].slowdown.max(1.0);
+            let freq = snap.freqs[idx].value();
+            be.throughput(
+                &self.cfg.platform,
+                div.cores(level),
+                freq,
+                iv.shared_llc,
+                iv.shared_l2,
+                slowdown,
+                smt_slowdown,
+            ) * self.dt.as_secs_f64()
+        };
+        let mut total = 0.0;
+        if div.cores(AuUsageLevel::None) > 0 {
+            total += units(AuUsageLevel::None, IDX_NONE, IDX_NONE, 1.0);
         }
-        drop(prof);
+        if iv.decision.smt_sharing {
+            let (high_i, low_i) = iv.smt.expect("smt impacts exist when smt_sharing");
+            total += units(
+                AuUsageLevel::High,
+                IDX_HIGH,
+                IDX_SIBLING,
+                high_i.be_slowdown,
+            );
+            total += units(AuUsageLevel::Low, IDX_LOW, IDX_SIBLING, low_i.be_slowdown);
+        }
+        self.be_units += total;
+    }
 
-        // --- Attribution ledger. ---
-        let prof = aum_sim::prof::scope("ctrl.ledger");
+    /// Attribution ledger: this interval's time and energy per region,
+    /// appended to the run's ledger.
+    fn attribute(&mut self, iv: &Interval, snap: &PlatformSnapshot) {
+        let _prof = aum_sim::prof::scope("ctrl.ledger");
+        let (spec, dt_secs, now) = (&self.cfg.platform, self.dt.as_secs_f64(), iv.state.now);
+        let div = iv.decision.division;
         // Decompose this interval's package power into per-region static
         // and dynamic watts, mirroring `PlatformSim`'s power closure term
         // by term: the ledger rows must re-derive `snap.power` so the
         // energy-conservation check cross-validates two independent
         // summations of the same model.
-        let pm = platform.power_model();
+        let pm = self.platform.power_model();
         let idle_w = pm.idle_core_power().value();
-        // Indexed AuHigh / AuLow / Shared / Uncore.
+        // Indexed AuHigh / AuLow / Shared / Uncore: the load slots map
+        // one-to-one, the SMT-sibling slot books to Shared.
         let mut static_w = [0.0f64; 4];
         let mut dynamic_w = [0.0f64; 4];
         let mut claimed = 0usize;
-        for (i, l) in loads.iter().enumerate() {
-            let r = match i {
-                IDX_HIGH => 0,
-                IDX_LOW => 1,
-                _ => 2,
-            };
+        for (i, l) in iv.loads.iter().enumerate() {
+            let r = i.min(IDX_NONE);
             claimed += l.cores;
             let core_w = pm.core_power(snap.freqs[i], l.class, l.duty).value();
             static_w[r] += idle_w * l.cores as f64;
@@ -784,11 +884,11 @@ pub fn try_run_experiment_traced(
         // Cores no load claims (e.g. offlined by a fault) idle on the
         // shared account; the uncore splits into its static floor plus the
         // bandwidth-proportional remainder.
-        static_w[2] += idle_w * total_cores.saturating_sub(claimed) as f64;
+        static_w[2] += idle_w * spec.total_cores().saturating_sub(claimed) as f64;
         static_w[3] += pm.uncore_power(0.0).value();
         dynamic_w[3] += pm.uncore_power(snap.bw_utilization).value() - pm.uncore_power(0.0).value();
 
-        let turbo = platform.governor().turbo().value();
+        let turbo = self.platform.governor().turbo().value();
         let to_fractions = |w: aum_au::topdown::WorkSplit| WorkFractions {
             compute: w.compute,
             l1: w.l1,
@@ -797,6 +897,7 @@ pub fn try_run_experiment_traced(
             dram: w.dram,
             contention: w.contention,
         };
+        let be_present = self.be_profile.is_some();
         let au_work = |kind: SignatureKind, idx: usize, amp: f64| -> WorkFractions {
             let split =
                 signature(kind, spec).work_split(snap.bw_grants[idx].slowdown.max(1.0), amp);
@@ -809,8 +910,8 @@ pub fn try_run_experiment_traced(
             }
             w
         };
-        let (shared_busy, shared_work) = match &be_profile {
-            Some(be) if div.cores(AuUsageLevel::None) > 0 || decision.smt_sharing => {
+        let (shared_busy, shared_work) = match &self.be_profile {
+            Some(be) if div.cores(AuUsageLevel::None) > 0 || iv.decision.smt_sharing => {
                 let (duty, idx) = if div.cores(AuUsageLevel::None) > 0 {
                     (1.0, IDX_NONE)
                 } else {
@@ -826,41 +927,44 @@ pub fn try_run_experiment_traced(
             }
             _ => (0.0, WorkFractions::all_compute()),
         };
-        let shed = manager.resilience() == Some(ResilienceMode::SafeMode);
+        let shed = self.manager.resilience() == Some(ResilienceMode::SafeMode);
+        // The High/Low/Shared rows read load slot, power row and thermal
+        // drop at the same index.
+        let sample = |region, idx: usize, busy_frac, work, shed| RegionSample {
+            region,
+            busy_frac,
+            freq_ghz: snap.freqs[idx].value(),
+            unlicensed_ghz: turbo,
+            thermal_drop_ghz: iv.pre_drop[idx],
+            work,
+            static_j: static_w[idx] * dt_secs,
+            dynamic_j: dynamic_w[idx] * dt_secs,
+            shed,
+        };
+        let high_work = au_work(SignatureKind::Prefill, IDX_HIGH, iv.prefill_amp);
+        let low_work = au_work(SignatureKind::Decode, IDX_LOW, iv.decode_amp);
         let region_samples = [
-            RegionSample {
-                region: attrib::Region::AuHigh,
-                busy_frac: prefill_duty,
-                freq_ghz: snap.freqs[IDX_HIGH].value(),
-                unlicensed_ghz: turbo,
-                thermal_drop_ghz: pre_drop[0],
-                work: au_work(SignatureKind::Prefill, IDX_HIGH, prefill_amp),
-                static_j: static_w[0] * dt_secs,
-                dynamic_j: dynamic_w[0] * dt_secs,
-                shed: false,
-            },
-            RegionSample {
-                region: attrib::Region::AuLow,
-                busy_frac: decode_duty,
-                freq_ghz: snap.freqs[IDX_LOW].value(),
-                unlicensed_ghz: turbo,
-                thermal_drop_ghz: pre_drop[1],
-                work: au_work(SignatureKind::Decode, IDX_LOW, decode_amp),
-                static_j: static_w[1] * dt_secs,
-                dynamic_j: dynamic_w[1] * dt_secs,
-                shed: false,
-            },
-            RegionSample {
-                region: attrib::Region::Shared,
-                busy_frac: shared_busy,
-                freq_ghz: snap.freqs[IDX_NONE].value(),
-                unlicensed_ghz: turbo,
-                thermal_drop_ghz: pre_drop[2],
-                work: shared_work,
-                static_j: static_w[2] * dt_secs,
-                dynamic_j: dynamic_w[2] * dt_secs,
+            sample(
+                attrib::Region::AuHigh,
+                IDX_HIGH,
+                iv.loads[IDX_HIGH].duty,
+                high_work,
+                false,
+            ),
+            sample(
+                attrib::Region::AuLow,
+                IDX_LOW,
+                iv.loads[IDX_LOW].duty,
+                low_work,
+                false,
+            ),
+            sample(
+                attrib::Region::Shared,
+                IDX_NONE,
+                shared_busy,
+                shared_work,
                 shed,
-            },
+            ),
             RegionSample {
                 region: attrib::Region::Uncore,
                 busy_frac: snap.bw_utilization.clamp(0.0, 1.0),
@@ -875,10 +979,10 @@ pub fn try_run_experiment_traced(
         ];
         let interval =
             IntervalLedger::build(now, dt_secs, snap.power.value() * dt_secs, &region_samples);
-        if tracer.is_enabled() {
+        if self.tracer.is_enabled() {
             for row in &interval.regions {
                 let (region, time, energy) = (row.region, row.time, row.energy);
-                tracer.emit(now, || Event::AttributionSample {
+                self.tracer.emit(now, || Event::AttributionSample {
                     region,
                     dt_secs,
                     time,
@@ -886,96 +990,107 @@ pub fn try_run_experiment_traced(
                 });
             }
         }
-        ledger.intervals.push(interval);
-        drop(prof);
+        self.ledger.intervals.push(interval);
+    }
 
-        // --- Accounting. ---
-        let prof = aum_sim::prof::scope("ctrl.accounting");
-        energy_j += snap.power.value() * dt_secs;
-        prefill_tokens += stats.prefill_tokens;
-        decode_tokens += stats.decode_tokens;
-        shared_llc_samples.record(f64::from(shared_llc));
-        shared_bw_samples.record(alloc.shared.mem_bw_frac * 100.0);
-        none_core_samples.record(div.cores(AuUsageLevel::None) as f64);
-        freq_low.push(now, snap.freqs[IDX_LOW].value());
-        power_series.push(now, snap.power.value());
+    /// Accounting and feedback: folds the interval into the accumulators
+    /// and the metrics registry, and keeps the demands observed while busy
+    /// for the next interval's loads.
+    fn account(&mut self, iv: &Interval, snap: &PlatformSnapshot, stats: &IntervalStats) {
+        let _prof = aum_sim::prof::scope("ctrl.accounting");
+        let (state, now) = (&iv.state, iv.state.now);
+        let power = snap.power.value();
+        let freq_low = snap.freqs[IDX_LOW].value();
+        let shared_llc = f64::from(iv.shared_llc);
+        self.energy_j += power * self.dt.as_secs_f64();
+        self.prefill_tokens += stats.prefill_tokens;
+        self.decode_tokens += stats.decode_tokens;
+        self.shared_llc_samples.record(shared_llc);
+        let shared_bw = iv.decision.allocation.shared.mem_bw_frac;
+        self.shared_bw_samples.record(shared_bw * 100.0);
+        let none_cores = iv.decision.division.cores(AuUsageLevel::None);
+        self.none_core_samples.record(none_cores as f64);
+        self.freq_low.push(now, freq_low);
+        self.power_series.push(now, power);
 
         // Metrics registry: one snapshot per control interval.
+        let registry = &mut self.registry;
         registry.counter_add("prefill_tokens", stats.prefill_tokens);
         registry.counter_add("decode_tokens", stats.decode_tokens);
         registry.counter_add("requests_completed", stats.completed);
-        registry.gauge_set("power_w", snap.power.value());
+        registry.gauge_set("power_w", power);
         registry.gauge_set("bw_utilization", snap.bw_utilization);
         registry.gauge_set("queue_len", state.queue_len as f64);
         registry.gauge_set("decode_batch", state.decode_batch as f64);
-        registry.gauge_set("freq_low_ghz", snap.freqs[IDX_LOW].value());
-        registry.gauge_set("shared_llc_ways", f64::from(shared_llc));
+        registry.gauge_set("freq_low_ghz", freq_low);
+        registry.gauge_set("shared_llc_ways", shared_llc);
         registry.gauge_set("recent_ttft_p90", state.recent_ttft_p90);
         registry.gauge_set("recent_tpot_p50", state.recent_tpot_p50);
-        let _ = registry.snapshot(until);
-        tracer.emit(until, || Event::SpanClose {
-            id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
-            kind: SpanKind::ControllerInterval,
-            track: span_track.clone(),
-        });
+        let _ = registry.snapshot(now + self.dt);
 
         // Feedback for the next interval: demands observed while busy.
+        let last = &mut self.last_stats;
         if stats.prefill_bw_demand.value() > 0.0 {
-            last_stats.prefill_bw_demand = stats.prefill_bw_demand;
+            last.prefill_bw_demand = stats.prefill_bw_demand;
         }
         if stats.decode_bw_demand.value() > 0.0 {
-            last_stats.decode_bw_demand = stats.decode_bw_demand;
+            last.decode_bw_demand = stats.decode_bw_demand;
         }
-        last_stats.prefill_busy = stats.prefill_busy;
-        last_stats.decode_busy = stats.decode_busy;
-        last_power = snap.power.value();
-        last_bw_util = snap.bw_utilization;
-        drop(prof);
+        last.prefill_busy = stats.prefill_busy;
+        last.decode_busy = stats.decode_busy;
+        self.last_power = power;
+        self.last_bw_util = snap.bw_utilization;
     }
 
-    let secs = cfg.duration.as_secs_f64();
-    let p_h = prefill_tokens as f64 / secs;
-    let p_l = decode_tokens as f64 / secs;
-    let p_n = be_units / secs;
-    let avg_power = energy_j / secs;
-    let gamma = cfg.be.map_or(0.0, Prices::gamma);
-    // Conservation gate: a ledger that does not close is a modeling bug,
-    // not a reporting nuisance — fail the run with the typed violation.
-    ledger.verify(attrib::EPSILON)?;
-    // Balance the span ledger: requests still in flight and fault windows
-    // that never recovered close at the end of the run window, so every
-    // trace yields a well-formed span forest.
-    let end = SimTime::ZERO + dt * steps as u64;
-    engine.close_open_spans(end);
-    for (idx, active) in fault_active.iter().enumerate() {
-        if *active {
-            tracer.emit(end, || Event::SpanClose {
-                id: SpanId::derive(SpanKind::FaultWindow, idx as u64).0,
-                kind: SpanKind::FaultWindow,
-                track: span_track.clone(),
-            });
+    /// Finish: verifies the ledger, balances the span forest and builds
+    /// the [`Outcome`].
+    fn finish(mut self) -> Result<Outcome, AumError> {
+        let cfg = self.cfg;
+        let secs = cfg.duration.as_secs_f64();
+        let p_h = self.prefill_tokens as f64 / secs;
+        let p_l = self.decode_tokens as f64 / secs;
+        let p_n = self.be_units / secs;
+        let avg_power = self.energy_j / secs;
+        let gamma = cfg.be.map_or(0.0, Prices::gamma);
+        // Conservation gate: a ledger that does not close is a modeling
+        // bug, not a reporting nuisance — fail the run with the typed
+        // violation.
+        self.ledger.verify(attrib::EPSILON)?;
+        // Balance the span ledger: requests still in flight and fault
+        // windows that never recovered close at the end of the run window,
+        // so every trace yields a well-formed span forest.
+        let end = self.boundary(self.steps);
+        self.engine.close_open_spans(end);
+        for (idx, active) in self.fault_active.iter().enumerate() {
+            if *active {
+                self.tracer.emit(end, || Event::SpanClose {
+                    id: SpanId::derive(SpanKind::FaultWindow, idx as u64).0,
+                    kind: SpanKind::FaultWindow,
+                    track: self.span_track.clone(),
+                });
+            }
         }
+        self.tracer.flush();
+        let outcome = Outcome {
+            scheme: self.manager.name().to_owned(),
+            slo: self.engine.slo_report(),
+            prefill_tps: p_h,
+            decode_tps: p_l,
+            be_rate: p_n,
+            avg_power_w: avg_power,
+            efficiency: e_cpu(cfg.prices, p_h, p_l, gamma, p_n, avg_power),
+            completed: self.engine.completed(),
+            shared_llc_samples: self.shared_llc_samples,
+            shared_bw_samples: self.shared_bw_samples,
+            none_core_samples: self.none_core_samples,
+            freq_low: self.freq_low,
+            power: self.power_series,
+            metrics: self.registry.into_history(),
+            ledger: self.ledger,
+        };
+        publish_live(&outcome);
+        Ok(outcome)
     }
-    tracer.flush();
-    let outcome = Outcome {
-        scheme: manager.name().to_owned(),
-        slo: engine.slo_report(),
-        prefill_tps: p_h,
-        decode_tps: p_l,
-        be_rate: p_n,
-        avg_power_w: avg_power,
-        efficiency: e_cpu(cfg.prices, p_h, p_l, gamma, p_n, avg_power),
-        completed: engine.completed(),
-        shared_llc_samples,
-        shared_bw_samples,
-        none_core_samples,
-        freq_low,
-        power: power_series,
-        metrics: registry.into_history(),
-        ledger,
-    };
-    publish_live(&outcome);
-    Ok(outcome)
 }
 
 /// Consecutive zero-progress control intervals (with work queued) before
@@ -1010,22 +1125,6 @@ fn publish_live(outcome: &Outcome) {
         &outcome.slo.tpot_req_hist,
     ));
     live.publish_exposition(text);
-}
-
-/// Picks the worse of two license locks: a High lock caps frequency lower
-/// than a Low lock, so overlapping lock faults pin to the slowest class.
-fn worse_license(current: Option<AuUsageLevel>, new: AuUsageLevel) -> AuUsageLevel {
-    fn rank(l: AuUsageLevel) -> u8 {
-        match l {
-            AuUsageLevel::None => 0,
-            AuUsageLevel::Low => 1,
-            AuUsageLevel::High => 2,
-        }
-    }
-    match current {
-        Some(c) if rank(c) >= rank(new) => c,
-        _ => new,
-    }
 }
 
 /// Removes `count` cores from a division: spare (None) cores go first,
@@ -1138,7 +1237,7 @@ mod tests {
     fn exclusive_run_produces_serving_metrics() {
         let cfg = short_cfg(None);
         let mut mgr = exclusive_manager(cfg.platform.total_cores());
-        let out = run_experiment(&cfg, &mut mgr);
+        let out = run_experiment(&cfg, &mut mgr, Tracer::disabled()).expect("run");
         // 60 s window at 0.4 req/s × 200 tokens includes ramp-up, so the
         // emitted-token rate sits below the 80 tokens/s offered load.
         assert!(out.decode_tps > 40.0, "decode tps {}", out.decode_tps);
@@ -1160,8 +1259,7 @@ mod tests {
         let mut mgr = shared_manager(total);
         mgr.name = "short";
         mgr.decision.division = ProcessorDivision::new(total / 3, total / 4, 1);
-        let err = try_run_experiment_traced(&cfg, &mut mgr, Tracer::disabled())
-            .expect_err("short division");
+        let err = run_experiment(&cfg, &mut mgr, Tracer::disabled()).expect_err("short division");
         assert!(
             matches!(
                 err,
@@ -1170,25 +1268,23 @@ mod tests {
             ),
             "{err:?}"
         );
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_experiment(&cfg, &mut mgr)
-        }))
-        .expect_err("the panicking entry point still panics");
-        let msg = panic.downcast_ref::<String>().expect("formatted panic");
-        assert!(
-            msg.contains(&format!(
-                "short: division {} does not cover",
-                mgr.decision.division
-            )),
-            "{msg}"
-        );
+    }
+
+    #[test]
+    fn zero_control_interval_is_a_typed_error() {
+        let mut cfg = short_cfg(None);
+        cfg.control_interval = SimDuration::ZERO;
+        let mut mgr = exclusive_manager(cfg.platform.total_cores());
+        let err = run_experiment(&cfg, &mut mgr, Tracer::disabled())
+            .expect_err("a zero control interval never finishes");
+        assert!(matches!(err, AumError::ZeroControlInterval), "{err:?}");
     }
 
     #[test]
     fn sharing_adds_be_throughput() {
         let cfg = short_cfg(Some(BeKind::SpecJbb));
         let mut mgr = shared_manager(cfg.platform.total_cores());
-        let out = run_experiment(&cfg, &mut mgr);
+        let out = run_experiment(&cfg, &mut mgr, Tracer::disabled()).expect("run");
         assert!(out.be_rate > 0.0, "BE work should progress");
         assert!(out.decode_tps > 35.0, "serving continues under sharing");
     }
@@ -1198,9 +1294,11 @@ mod tests {
         // The paper's core claim: harvesting idle resources for BE work
         // improves performance-per-watt despite a small serving hit.
         let excl_cfg = short_cfg(None);
-        let excl = run_experiment(&excl_cfg, &mut exclusive_manager(96));
+        let excl =
+            run_experiment(&excl_cfg, &mut exclusive_manager(96), Tracer::disabled()).expect("run");
         let share_cfg = short_cfg(Some(BeKind::SpecJbb));
-        let shared = run_experiment(&share_cfg, &mut shared_manager(96));
+        let shared =
+            run_experiment(&share_cfg, &mut shared_manager(96), Tracer::disabled()).expect("run");
         let gain = shared.efficiency_vs(&excl);
         assert!(
             gain > 1.0,
@@ -1223,8 +1321,9 @@ mod tests {
         };
         let cfg = short_cfg(Some(BeKind::Olap));
         let mut smt = smt;
-        let smt_out = run_experiment(&cfg, &mut smt);
-        let part_out = run_experiment(&cfg, &mut shared_manager(total));
+        let smt_out = run_experiment(&cfg, &mut smt, Tracer::disabled()).expect("run");
+        let part_out =
+            run_experiment(&cfg, &mut shared_manager(total), Tracer::disabled()).expect("run");
         assert!(
             smt_out.slo.tpot_guarantee < part_out.slo.tpot_guarantee,
             "OLAP on hyperthreads should hurt decode more: smt={} part={}",
@@ -1236,8 +1335,8 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_outcome() {
         let cfg = short_cfg(Some(BeKind::SpecJbb));
-        let a = run_experiment(&cfg, &mut shared_manager(96));
-        let b = run_experiment(&cfg, &mut shared_manager(96));
+        let a = run_experiment(&cfg, &mut shared_manager(96), Tracer::disabled()).expect("run");
+        let b = run_experiment(&cfg, &mut shared_manager(96), Tracer::disabled()).expect("run");
         assert_eq!(a.decode_tps.to_bits(), b.decode_tps.to_bits());
         assert_eq!(a.efficiency.to_bits(), b.efficiency.to_bits());
         assert_eq!(a.completed, b.completed);
@@ -1254,7 +1353,8 @@ mod tests {
     #[test]
     fn outcome_exports_json() {
         let cfg = short_cfg(None);
-        let out = run_experiment(&cfg, &mut exclusive_manager(96));
+        let out =
+            run_experiment(&cfg, &mut exclusive_manager(96), Tracer::disabled()).expect("run");
         let json = out.to_json_pretty().expect("encode");
         assert!(json.contains("\"efficiency\""));
         assert!(json.contains("\"freq_low\""));
@@ -1266,7 +1366,7 @@ mod tests {
     #[test]
     fn telemetry_series_are_recorded() {
         let cfg = short_cfg(Some(BeKind::SpecJbb));
-        let out = run_experiment(&cfg, &mut shared_manager(96));
+        let out = run_experiment(&cfg, &mut shared_manager(96), Tracer::disabled()).expect("run");
         assert_eq!(out.freq_low.len(), 120); // 60 s / 500 ms
         assert_eq!(out.shared_llc_samples.len(), 120);
         assert!(out.power.value_summary().mean() > 100.0);

@@ -7,7 +7,7 @@
 //! granularity: a [`NodeFaultPlan`] scripts node-scoped failures
 //! (crash/restart, sustained straggler slowdown, network partition from
 //! the router, rolling-restart drain) with deterministic timing, and
-//! [`run_fleet`] replays them through an epoch-based router loop. The
+//! [`run_fleet_traced`] replays them through an epoch-based router loop. The
 //! plan is [`crate::fault`]'s [`FaultScript`] over [`NodeFaultEvent`]s,
 //! and its edges fire through that module's replay at epoch boundaries;
 //! this module adds only the node effects:
@@ -305,12 +305,6 @@ impl FleetParams {
 /// arrival stream (percent; sums to 100).
 const CLASSES: [(&str, u64); 3] = [("best-effort", 20), ("standard", 30), ("interactive", 50)];
 
-/// Stable labels of the admission classes, in shed-first order.
-#[must_use]
-pub fn class_labels() -> [&'static str; 3] {
-    [CLASSES[0].0, CLASSES[1].0, CLASSES[2].0]
-}
-
 /// One node's metrics rollup at run end: the final registry snapshot
 /// (counters `assigned`/`completed`/`on_time`/`redispatched`/`dropped`/
 /// `shed`/`violation_tracked`, plus latency-proxy quantile gauges) and
@@ -358,7 +352,8 @@ pub struct FleetOutcome {
     pub dropped: u64,
     /// Requests shed by the admission controller.
     pub shed: u64,
-    /// Shed counts by class, in [`class_labels`] order.
+    /// Shed counts by class, in shed-first order: best-effort, standard,
+    /// interactive.
     pub shed_by_class: Vec<u64>,
     /// Requests still waiting in the retry queue at run end.
     pub pending: u64,
@@ -505,28 +500,6 @@ struct RetryBatch {
 /// [`Event::FaultOutsideWindow`]) is emitted into `tracer` at epoch
 /// boundaries; pass [`Tracer::disabled`] to skip it.
 ///
-/// # Panics
-///
-/// Panics if the cluster is empty, if `capacity_weights` disagrees with
-/// the server count, or if the fault plan is invalid for this fleet.
-#[must_use]
-pub fn run_fleet(
-    cfg: &ClusterConfig,
-    policy: RoutingPolicy,
-    capacity_weights: &[f64],
-    tracer: &Tracer,
-) -> FleetOutcome {
-    run_fleet_traced(
-        cfg,
-        policy,
-        capacity_weights,
-        tracer,
-        &format!("fleet/{policy}"),
-    )
-}
-
-/// [`run_fleet`] with an explicit span track name.
-///
 /// The flat events land on no track, but the span stream
 /// ([`SpanKind::FleetEpoch`] on `track`, [`SpanKind::NodeHealthEpisode`]
 /// and [`SpanKind::RedispatchHop`] on `<track>/node<i>`) keys span ids
@@ -536,7 +509,8 @@ pub fn run_fleet(
 ///
 /// # Panics
 ///
-/// Same as [`run_fleet`].
+/// Panics if the cluster is empty, if `capacity_weights` disagrees with
+/// the server count, or if the fault plan is invalid for this fleet.
 #[must_use]
 pub fn run_fleet_traced(
     cfg: &ClusterConfig,
@@ -1101,13 +1075,23 @@ mod tests {
         NodeFaultPlan::single(NodeFaultEvent::permanent(0, 20.0, NodeFault::Crash))
     }
 
+    /// A fleet run on the `fleet/<policy>` track.
+    fn run_policy(
+        cfg: &ClusterConfig,
+        policy: RoutingPolicy,
+        weights: &[f64],
+        tracer: &Tracer,
+    ) -> FleetOutcome {
+        run_fleet_traced(cfg, policy, weights, tracer, &format!("fleet/{policy}"))
+    }
+
     fn captured(
         cfg: &ClusterConfig,
         policy: RoutingPolicy,
         weights: &[f64],
     ) -> (FleetOutcome, Vec<TraceRecord>) {
         let (tracer, sink) = Tracer::shared(MemorySink::new());
-        let out = run_fleet(cfg, policy, weights, &tracer);
+        let out = run_policy(cfg, policy, weights, &tracer);
         let records = sink.lock().expect("sink lock").records().to_vec();
         (out, records)
     }
@@ -1139,7 +1123,7 @@ mod tests {
             RoutingPolicy::AuvWeighted,
             RoutingPolicy::Failover,
         ] {
-            let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+            let out = run_policy(&cfg, policy, &even_weights(3), &Tracer::disabled());
             assert!(out.conservation_ok(), "{policy}: {out:?}");
             assert_eq!(out.dropped, 0, "{policy}");
             assert_eq!(out.shed, 0, "{policy}");
@@ -1172,7 +1156,7 @@ mod tests {
         for plan in plans {
             for policy in [RoutingPolicy::AuvWeighted, RoutingPolicy::Failover] {
                 let cfg = fleet_cfg(plan.clone());
-                let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+                let out = run_policy(&cfg, policy, &even_weights(3), &Tracer::disabled());
                 assert!(
                     out.conservation_ok(),
                     "{policy}: dispatched {} != completed {} + redispatched {} + shed {} + dropped {}",
@@ -1189,13 +1173,13 @@ mod tests {
     #[test]
     fn failover_beats_static_routing_under_a_crash() {
         let cfg = fleet_cfg(crash_plan());
-        let failover = run_fleet(
+        let failover = run_policy(
             &cfg,
             RoutingPolicy::Failover,
             &even_weights(3),
             &Tracer::disabled(),
         );
-        let stat = run_fleet(
+        let stat = run_policy(
             &cfg,
             RoutingPolicy::AuvWeighted,
             &even_weights(3),
@@ -1270,7 +1254,7 @@ mod tests {
             50.0,
             NodeFault::Drain,
         )));
-        let failover = run_fleet(
+        let failover = run_policy(
             &cfg,
             RoutingPolicy::Failover,
             &even_weights(3),
@@ -1280,7 +1264,7 @@ mod tests {
             failover.redispatched, 0,
             "the router is told about drains before traffic strands"
         );
-        let stat = run_fleet(
+        let stat = run_policy(
             &cfg,
             RoutingPolicy::AuvWeighted,
             &even_weights(3),
@@ -1338,13 +1322,13 @@ mod tests {
             )),
             "sustained slowdown must surface through the violation signal"
         );
-        let failover = run_fleet(
+        let failover = run_policy(
             &cfg,
             RoutingPolicy::Failover,
             &even_weights(3),
             &Tracer::disabled(),
         );
-        let stat = run_fleet(
+        let stat = run_policy(
             &cfg,
             RoutingPolicy::AuvWeighted,
             &even_weights(3),
@@ -1401,7 +1385,7 @@ mod tests {
             }
         }
         assert_eq!(health, [NodeHealth::Healthy; 3], "every node ends Healthy");
-        let healthy = run_fleet(
+        let healthy = run_policy(
             &fleet_cfg(NodeFaultPlan::none()),
             RoutingPolicy::Failover,
             &even_weights(3),
@@ -1440,7 +1424,7 @@ mod tests {
         ]);
         assert!(dup.validate_for(3).is_ok());
         let cfg = fleet_cfg(dup);
-        let out = run_fleet(
+        let out = run_policy(
             &cfg,
             RoutingPolicy::Failover,
             &even_weights(3),
@@ -1457,12 +1441,12 @@ mod tests {
         cfg.total_rate = 30.0 * 1.6;
         cfg.fleet.capacity_margin = 1.3 / 1.6;
         for policy in [RoutingPolicy::AuvWeighted, RoutingPolicy::Failover] {
-            let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+            let out = run_policy(&cfg, policy, &even_weights(3), &Tracer::disabled());
             assert!(out.shed > 0, "{policy} must shed under overload");
             assert!(out.conservation_ok(), "{policy}: {out:?}");
             assert!(out.node_conservation_ok(), "{policy}: {out:?}");
         }
-        let stat = run_fleet(
+        let stat = run_policy(
             &cfg,
             RoutingPolicy::AuvWeighted,
             &even_weights(3),
@@ -1483,7 +1467,7 @@ mod tests {
     fn node_rollup_partitions_fleet_totals() {
         let cfg = fleet_cfg(crash_plan());
         for policy in [RoutingPolicy::AuvWeighted, RoutingPolicy::Failover] {
-            let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+            let out = run_policy(&cfg, policy, &even_weights(3), &Tracer::disabled());
             assert_eq!(out.node_metrics.len(), 3, "{policy}");
             assert!(out.node_conservation_ok(), "{policy}: {out:?}");
             assert!(

@@ -43,8 +43,10 @@
 //! use aum::profiler::{build_model, ProfilerConfig};
 //! use aum_llm::traces::Scenario;
 //! use aum_platform::spec::PlatformSpec;
+//! use aum_sim::telemetry::Tracer;
 //! use aum_workloads::be::BeKind;
 //!
+//! # fn main() -> Result<(), aum::AumError> {
 //! let spec = PlatformSpec::gen_a();
 //!
 //! // 1. Profile offline (the paper's ≈450-execution sweep).
@@ -55,9 +57,11 @@
 //! let shared = ExperimentConfig::paper_default(
 //!     spec.clone(), Scenario::Chatbot, Some(BeKind::SpecJbb));
 //! let exclusive = ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, None);
-//! let aum = run_experiment(&shared, &mut AumController::new(model));
-//! let all_au = run_experiment(&exclusive, &mut AllAu::new(&spec));
+//! let aum = run_experiment(&shared, &mut AumController::new(model), Tracer::disabled())?;
+//! let all_au = run_experiment(&exclusive, &mut AllAu::new(&spec), Tracer::disabled())?;
 //! println!("efficiency gain: {:.1}%", (aum.efficiency_vs(&all_au) - 1.0) * 100.0);
+//! # Ok(())
+//! # }
 //! ```
 
 #![warn(missing_docs)]
@@ -81,8 +85,8 @@ pub use error::AumError;
 pub use experiment::{run_experiment, ExperimentConfig, Outcome};
 pub use fault::{Fault, FaultEvent, FaultPlan};
 pub use fleet::{
-    run_fleet, run_fleet_traced, FleetOutcome, FleetParams, NodeFault, NodeFaultEvent,
-    NodeFaultPlan, NodeMetricsRollup,
+    run_fleet_traced, FleetOutcome, FleetParams, NodeFault, NodeFaultEvent, NodeFaultPlan,
+    NodeMetricsRollup,
 };
 pub use manager::{Decision, ResourceManager, StaticManager, SystemState};
 pub use prices::{e_cpu, Prices};

@@ -412,7 +412,7 @@ pub fn build_model_traced(cfg: &ProfilerConfig, tracer: Tracer) -> AuvModel {
                 model: aum_llm::config::ModelConfig::llama2_7b(),
             };
             let mut mgr = StaticManager::new("profiler", decision);
-            let out = run_experiment(&exp, &mut mgr);
+            let out = run_experiment(&exp, &mut mgr, Tracer::disabled()).expect("profiler cell");
             let n = cfg.repetitions as f64;
             acc.prefill_tps += out.prefill_tps / n;
             acc.decode_tps += out.decode_tps / n;

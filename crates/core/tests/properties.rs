@@ -12,6 +12,7 @@ use aum::prices::{e_cpu, Prices};
 use aum::profiler::{build_model, AuvModel, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
@@ -124,7 +125,7 @@ proptest! {
                 15.0,
                 Fault::BandwidthDegrade { frac },
             ));
-            run_experiment(&cfg, &mut AllAu::new(&spec))
+            run_experiment(&cfg, &mut AllAu::new(&spec), Tracer::disabled()).expect("run")
         };
         let milder = faulted(frac_hi);
         let deeper = faulted(frac_lo);

@@ -186,9 +186,7 @@ pub struct LlmEngine {
     /// Per finished request: average *wall-clock* time per generated token,
     /// seconds — the TPOT a user experiences, including stalls behind
     /// prefill bursts (unlike [`TokenRecord::exec`], which is pure
-    /// iteration time).
-    wall_tpots: Vec<f64>,
-    /// The same distribution as a mergeable histogram (quantile readout).
+    /// iteration time) — as a mergeable histogram (quantile readout).
     wall_tpot_hist: LogHistogram,
     pmu: PmuCounters,
     completed: u64,
@@ -236,7 +234,6 @@ impl LlmEngine {
             decode_clock: SimTime::ZERO,
             ttfts: Vec::new(),
             tokens: Vec::new(),
-            wall_tpots: Vec::new(),
             wall_tpot_hist: LogHistogram::new(),
             pmu: PmuCounters::new(),
             completed: 0,
@@ -582,7 +579,6 @@ impl LlmEngine {
             if f.generated > 0 {
                 let wall = self.decode_clock.as_secs_f64() - f.admitted_secs;
                 mean_tpot = (wall / f.generated as f64).max(0.0);
-                self.wall_tpots.push(mean_tpot);
                 self.wall_tpot_hist.record(mean_tpot);
             }
             let ttft_secs = self.ttft_by_id.get(&f.id.0).copied().unwrap_or(0.0);
@@ -741,26 +737,6 @@ impl LlmEngine {
     #[must_use]
     pub fn wall_tpot_quantile(&self, q: f64) -> f64 {
         self.wall_tpot_hist.quantile(q)
-    }
-
-    /// The wall-clock TPOT distribution as a mergeable histogram.
-    #[must_use]
-    pub fn wall_tpot_hist(&self) -> &LogHistogram {
-        &self.wall_tpot_hist
-    }
-
-    /// Fraction of finished requests whose wall-clock TPOT met the deadline.
-    #[must_use]
-    pub fn wall_tpot_guarantee(&self, d_tpot: SimDuration) -> f64 {
-        if self.wall_tpots.is_empty() {
-            return 1.0;
-        }
-        let met = self
-            .wall_tpots
-            .iter()
-            .filter(|&&w| w <= d_tpot.as_secs_f64())
-            .count();
-        met as f64 / self.wall_tpots.len() as f64
     }
 
     /// Accumulated synthetic PMU counters.

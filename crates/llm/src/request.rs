@@ -8,16 +8,6 @@ use aum_sim::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RequestId(pub u64);
 
-impl RequestId {
-    /// The deterministic id of this request's lifecycle span (the request
-    /// id is the span-id payload, so trace consumers can go from a
-    /// `RequestFinished` event to the matching span without a join table).
-    #[must_use]
-    pub fn lifecycle_span(self) -> aum_sim::span::SpanId {
-        aum_sim::span::SpanId::derive(aum_sim::span::SpanKind::RequestLifecycle, self.0)
-    }
-}
-
 /// One inference request from the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {

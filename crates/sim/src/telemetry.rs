@@ -372,7 +372,7 @@ pub enum Event {
         epoch: u64,
     },
     /// One fleet node's metrics registry, snapshotted at an epoch boundary
-    /// (emitted by `aum::fleet::run_fleet` on health transitions so the
+    /// (emitted by `aum::fleet::run_fleet_traced` on health transitions so the
     /// flight recorder can pin the offending node's state into `node-down`
     /// incident dumps — see [`crate::flight`]).
     NodeMetricsSnapshot {
@@ -483,12 +483,6 @@ impl MemorySink {
     #[must_use]
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
-    }
-
-    /// Consumes the sink, returning the collected records.
-    #[must_use]
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
     }
 }
 

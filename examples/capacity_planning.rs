@@ -11,16 +11,17 @@ use aum::profiler::{build_model, ProfilerConfig};
 use aum::tco::{tco_report, TcoInputs};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_workloads::be::BeKind;
 
-fn main() {
+fn main() -> Result<(), aum::AumError> {
     let scenario = Scenario::Chatbot;
     let mut best: Option<(String, BeKind, f64)> = None;
     for spec in PlatformSpec::presets() {
         for be in BeKind::ALL {
             let model = build_model(&ProfilerConfig::paper_default(spec.clone(), scenario, be));
             let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
-            let out = run_experiment(&cfg, &mut AumController::new(model));
+            let out = run_experiment(&cfg, &mut AumController::new(model), Tracer::disabled())?;
             let value_per_watt = out.efficiency;
             println!(
                 "{:<6} + {:<8}: E_CPU {:.3} | decode {:>5.0} tok/s | BE {:>9.0}/s | {:.0} W | TPOT-G {:.2}",
@@ -43,4 +44,5 @@ fn main() {
         report.perf_per_watt_vs_gpu * 100.0,
     );
     let _ = Prices::paper_default();
+    Ok(())
 }

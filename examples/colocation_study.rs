@@ -10,9 +10,10 @@ use aum::manager::ResourceManager;
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_workloads::be::BeKind;
 
-fn main() {
+fn main() -> Result<(), aum::AumError> {
     let scenario = match std::env::args().nth(1).as_deref() {
         Some("cc") => Scenario::CodeCompletion,
         Some("sm") => Scenario::Summarization,
@@ -22,7 +23,7 @@ fn main() {
     println!("scenario: {scenario} on {}", spec.name);
 
     let exclusive_cfg = ExperimentConfig::paper_default(spec.clone(), scenario, None);
-    let baseline = run_experiment(&exclusive_cfg, &mut AllAu::new(&spec));
+    let baseline = run_experiment(&exclusive_cfg, &mut AllAu::new(&spec), Tracer::disabled())?;
     print_row("ALL-AU (exclusive)", &baseline, &baseline);
 
     for be in BeKind::ALL {
@@ -38,10 +39,11 @@ fn main() {
             Box::new(AumController::new(model)),
         ];
         for mgr in managers.iter_mut() {
-            let out = run_experiment(&cfg, mgr.as_mut());
+            let out = run_experiment(&cfg, mgr.as_mut(), Tracer::disabled())?;
             print_row(&out.scheme.clone(), &out, &baseline);
         }
     }
+    Ok(())
 }
 
 fn print_row(name: &str, o: &Outcome, base: &Outcome) {

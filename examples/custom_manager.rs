@@ -13,6 +13,7 @@ use aum_llm::traces::Scenario;
 use aum_platform::rdt::{RdtAllocation, ResourceVector};
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::ProcessorDivision;
+use aum_sim::telemetry::Tracer;
 use aum_workloads::be::BeKind;
 
 /// Throttles the shared class's MBA allocation when the pool runs hot;
@@ -57,17 +58,17 @@ impl ResourceManager for BandwidthGuardian {
     }
 }
 
-fn main() {
+fn main() -> Result<(), aum::AumError> {
     let spec = PlatformSpec::gen_a();
     let scenario = Scenario::Chatbot;
     let be = BeKind::SpecJbb;
     let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
 
     let mut guardian = BandwidthGuardian::new(&spec);
-    let guard_out = run_experiment(&cfg, &mut guardian);
+    let guard_out = run_experiment(&cfg, &mut guardian, Tracer::disabled())?;
 
     let model = build_model(&ProfilerConfig::paper_default(spec.clone(), scenario, be));
-    let aum_out = run_experiment(&cfg, &mut AumController::new(model));
+    let aum_out = run_experiment(&cfg, &mut AumController::new(model), Tracer::disabled())?;
 
     for o in [&guard_out, &aum_out] {
         println!(
@@ -80,4 +81,5 @@ fn main() {
          awareness beats single-signal feedback.",
         (aum_out.efficiency / guard_out.efficiency - 1.0) * 100.0
     );
+    Ok(())
 }

@@ -9,9 +9,10 @@ use aum::experiment::{run_experiment, ExperimentConfig};
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_workloads::be::BeKind;
 
-fn main() {
+fn main() -> Result<(), aum::AumError> {
     let spec = PlatformSpec::gen_a();
     println!(
         "platform: {} ({} cores, {} memory)",
@@ -39,8 +40,9 @@ fn main() {
     let shared_cfg =
         ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, Some(BeKind::SpecJbb));
 
-    let exclusive = run_experiment(&exclusive_cfg, &mut AllAu::new(&spec));
-    let aum = run_experiment(&shared_cfg, &mut AumController::new(model));
+    let exclusive = run_experiment(&exclusive_cfg, &mut AllAu::new(&spec), Tracer::disabled())?;
+    let mut controller = AumController::new(model);
+    let aum = run_experiment(&shared_cfg, &mut controller, Tracer::disabled())?;
 
     // 3. Compare.
     println!("\n{:<22}{:>12}{:>12}", "", "ALL-AU", "AUM");
@@ -63,4 +65,5 @@ fn main() {
         "\nAUM improves performance-per-watt by {:+.1}% while co-locating SPECjbb.",
         (aum.efficiency_vs(&exclusive) - 1.0) * 100.0
     );
+    Ok(())
 }

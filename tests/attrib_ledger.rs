@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 
 use aum::baselines::{AllAu, RpAu, SmtAu};
-use aum::experiment::{
-    try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan, Outcome,
-};
+use aum::experiment::{run_experiment, ExperimentConfig, Fault, FaultEvent, FaultPlan, Outcome};
 use aum::manager::ResourceManager;
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
@@ -99,7 +97,7 @@ fn run_random(case: &RandomCase) -> Outcome {
     if case.manager_pick.is_multiple_of(3) {
         cfg.be = None;
     }
-    try_run_experiment_traced(&cfg, mgr.as_mut(), Tracer::disabled())
+    run_experiment(&cfg, mgr.as_mut(), Tracer::disabled())
         .expect("conservation must hold for every random configuration")
 }
 

@@ -7,13 +7,14 @@ use aum::experiment::{run_experiment, ExperimentConfig, Outcome};
 use aum::manager::ResourceManager;
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
 fn run(mgr: &mut dyn ResourceManager, spec: &PlatformSpec, be: Option<BeKind>) -> Outcome {
     let mut cfg = ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, be);
     cfg.duration = SimDuration::from_secs(120);
-    run_experiment(&cfg, mgr)
+    run_experiment(&cfg, mgr, Tracer::disabled()).expect("run")
 }
 
 #[test]

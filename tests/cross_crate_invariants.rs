@@ -172,6 +172,7 @@ fn experiments_can_run_concurrently() {
     use aum::baselines::AllAu;
     use aum::experiment::{run_experiment, ExperimentConfig};
     use aum_llm::traces::Scenario;
+    use aum_sim::telemetry::Tracer;
     let handles: Vec<_> = (0..4)
         .map(|seed| {
             std::thread::spawn(move || {
@@ -180,7 +181,9 @@ fn experiments_can_run_concurrently() {
                     ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, None);
                 cfg.duration = SimDuration::from_secs(60);
                 cfg.seed = seed;
-                run_experiment(&cfg, &mut AllAu::new(&spec)).decode_tps
+                run_experiment(&cfg, &mut AllAu::new(&spec), Tracer::disabled())
+                    .expect("run")
+                    .decode_tps
             })
         })
         .collect();

@@ -7,6 +7,7 @@ use aum::experiment::{run_experiment, ExperimentConfig};
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
@@ -37,7 +38,7 @@ fn aum_controller_runs_are_bit_identical() {
     let pc = ProfilerConfig::smoke(PlatformSpec::gen_a(), Scenario::Chatbot, BeKind::SpecJbb);
     let run = || {
         let model = build_model(&pc);
-        run_experiment(&cfg(7), &mut AumController::new(model))
+        run_experiment(&cfg(7), &mut AumController::new(model), Tracer::disabled()).expect("run")
     };
     let a = run();
     let b = run();
@@ -56,8 +57,14 @@ fn aum_controller_runs_are_bit_identical() {
 fn different_seeds_differ() {
     let pc = ProfilerConfig::smoke(PlatformSpec::gen_a(), Scenario::Chatbot, BeKind::SpecJbb);
     let model = build_model(&pc);
-    let a = run_experiment(&cfg(7), &mut AumController::new(model.clone()));
-    let b = run_experiment(&cfg(8), &mut AumController::new(model));
+    let a = run_experiment(
+        &cfg(7),
+        &mut AumController::new(model.clone()),
+        Tracer::disabled(),
+    )
+    .expect("run");
+    let b =
+        run_experiment(&cfg(8), &mut AumController::new(model), Tracer::disabled()).expect("run");
     assert_ne!(
         a.decode_tps.to_bits(),
         b.decode_tps.to_bits(),

@@ -8,6 +8,7 @@ use aum::experiment::{run_experiment, ExperimentConfig};
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
@@ -31,7 +32,9 @@ fn aum_beats_exclusive_efficiency_with_specjbb() {
             None,
         )),
         &mut AllAu::new(&spec),
-    );
+        Tracer::disabled(),
+    )
+    .expect("run");
     let aum = run_experiment(
         &short(ExperimentConfig::paper_default(
             spec.clone(),
@@ -39,7 +42,9 @@ fn aum_beats_exclusive_efficiency_with_specjbb() {
             Some(BeKind::SpecJbb),
         )),
         &mut AumController::new(model),
-    );
+        Tracer::disabled(),
+    )
+    .expect("run");
     let gain = aum.efficiency_vs(&exclusive);
     // Paper: +8.8% on average; our simulated exclusive baseline wastes more
     // decode power, so the same mechanism lands somewhat higher. The claim
@@ -72,8 +77,9 @@ fn aum_reduces_violations_vs_oblivious_smt() {
         Scenario::Chatbot,
         Some(BeKind::SpecJbb),
     ));
-    let smt = run_experiment(&cfg, &mut SmtAu::new(&spec));
-    let aum = run_experiment(&cfg, &mut AumController::new(model));
+    let smt = run_experiment(&cfg, &mut SmtAu::new(&spec), Tracer::disabled()).expect("run");
+    let aum =
+        run_experiment(&cfg, &mut AumController::new(model), Tracer::disabled()).expect("run");
     assert!(
         aum.slo.violation_rate() < smt.slo.violation_rate() - 0.05,
         "paper: AUM reduces SLO violations vs AUV-oblivious sharing; got AUM {} vs SMT {}",
@@ -93,7 +99,9 @@ fn code_completion_ttft_is_unattainable_even_exclusively() {
             None,
         )),
         &mut AllAu::new(&spec),
-    );
+        Tracer::disabled(),
+    )
+    .expect("run");
     assert!(
         cc_exclusive.slo.ttft_guarantee < 0.3,
         "cc TTFT is unattainable even exclusively, got {}",
@@ -116,7 +124,9 @@ fn power_stays_within_physical_envelope() {
             None,
         )),
         &mut AllAu::new(&spec),
-    );
+        Tracer::disabled(),
+    )
+    .expect("run");
     // §III-B anchors GenA serving at ≈270 W; idle floor is ≈138 W.
     assert!(
         (140.0..=320.0).contains(&out.avg_power_w),

@@ -6,9 +6,7 @@
 
 use aum::baselines::{AllAu, StaticBest};
 use aum::controller::AumController;
-use aum::experiment::{
-    run_experiment, run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan,
-};
+use aum::experiment::{run_experiment, ExperimentConfig, Fault, FaultEvent, FaultPlan};
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
@@ -45,8 +43,15 @@ fn bandwidth_fault_degrades_exclusive_serving() {
             ..bw_fault_cfg(None)
         },
         &mut AllAu::new(&spec),
-    );
-    let faulted = run_experiment(&bw_fault_cfg(None), &mut AllAu::new(&spec));
+        Tracer::disabled(),
+    )
+    .expect("run");
+    let faulted = run_experiment(
+        &bw_fault_cfg(None),
+        &mut AllAu::new(&spec),
+        Tracer::disabled(),
+    )
+    .expect("run");
     assert!(
         faulted.slo.tpot_guarantee < healthy.slo.tpot_guarantee,
         "a 40% bandwidth loss must cost decode SLOs: {} vs {}",
@@ -68,7 +73,7 @@ fn aum_reacts_to_the_fault_where_static_best_cannot() {
     let cfg = bw_fault_cfg(Some(BeKind::SpecJbb));
 
     let mut aum = AumController::new(model.clone());
-    let aum_out = run_experiment(&cfg, &mut aum);
+    let aum_out = run_experiment(&cfg, &mut aum, Tracer::disabled()).expect("run");
     // The controller must visibly respond after the fault: tuning steps
     // and/or division switches happen (the fault makes measured TPOT
     // violate the profiled expectations).
@@ -77,7 +82,8 @@ fn aum_reacts_to_the_fault_where_static_best_cannot() {
         "the controller must react to the bandwidth collapse"
     );
 
-    let static_out = run_experiment(&cfg, &mut StaticBest::new(&model));
+    let static_out =
+        run_experiment(&cfg, &mut StaticBest::new(&model), Tracer::disabled()).expect("run");
     // AUM's post-fault response (returning harvested bandwidth to the AU
     // class) must not leave it behind the frozen configuration on SLOs.
     assert!(
@@ -100,8 +106,15 @@ fn thermal_runaway_throttles_then_recovers() {
     let healthy = run_experiment(
         &cfg_with(None, 240, FaultPlan::none()),
         &mut AllAu::new(&spec),
-    );
-    let faulted = run_experiment(&cfg_with(None, 240, plan), &mut AllAu::new(&spec));
+        Tracer::disabled(),
+    )
+    .expect("run");
+    let faulted = run_experiment(
+        &cfg_with(None, 240, plan),
+        &mut AllAu::new(&spec),
+        Tracer::disabled(),
+    )
+    .expect("run");
     // The throttle is visible in the decode-region frequency telemetry
     // during the fault window (reservoirs heat within a few seconds)...
     let min_in_window = faulted
@@ -145,8 +158,15 @@ fn license_lock_pins_decode_at_the_amx_curve() {
     let healthy = run_experiment(
         &cfg_with(None, 180, FaultPlan::none()),
         &mut AllAu::new(&spec),
-    );
-    let faulted = run_experiment(&cfg_with(None, 180, plan), &mut AllAu::new(&spec));
+        Tracer::disabled(),
+    )
+    .expect("run");
+    let faulted = run_experiment(
+        &cfg_with(None, 180, plan),
+        &mut AllAu::new(&spec),
+        Tracer::disabled(),
+    )
+    .expect("run");
     // Every post-fault interval runs the Low region at the AMX license
     // point instead of its 3.1 GHz AVX license.
     let post_fault: Vec<f64> = faulted
@@ -190,9 +210,16 @@ fn sensor_noise_does_not_destabilize_aum() {
     let clean = run_experiment(
         &cfg_with(Some(BeKind::SpecJbb), 180, FaultPlan::none()),
         &mut clean_ctl,
-    );
+        Tracer::disabled(),
+    )
+    .expect("run");
     let mut noisy_ctl = AumController::new(model);
-    let noisy = run_experiment(&cfg_with(Some(BeKind::SpecJbb), 180, plan), &mut noisy_ctl);
+    let noisy = run_experiment(
+        &cfg_with(Some(BeKind::SpecJbb), 180, plan),
+        &mut noisy_ctl,
+        Tracer::disabled(),
+    )
+    .expect("run");
     // The plausibility filter must have rejected spikes...
     assert!(
         noisy_ctl.sensor_rejections() > 0,
@@ -224,11 +251,12 @@ fn persistent_collapse_drives_aum_into_safe_mode() {
     ));
     let (tracer, sink) = Tracer::shared(MemorySink::new());
     let mut ctl = AumController::new(model);
-    let out = run_experiment_traced(
+    let out = run_experiment(
         &cfg_with(Some(BeKind::SpecJbb), 180, plan),
         &mut ctl,
         tracer,
-    );
+    )
+    .expect("run");
     assert!(
         ctl.safe_mode_entries() >= 1,
         "persistent breach pressure must reach safe mode"
@@ -263,11 +291,12 @@ fn multi_fault_chaos_script_emits_ordered_telemetry() {
         FaultEvent::permanent(400.0, Fault::CoreOffline { count: 4 }),
     ]);
     let (tracer, sink) = Tracer::shared(MemorySink::new());
-    let out = run_experiment_traced(
+    let out = run_experiment(
         &cfg_with(Some(BeKind::SpecJbb), 180, plan),
         &mut AllAu::new(&spec),
         tracer,
-    );
+    )
+    .expect("run");
     let records = sink.lock().expect("sink lock").records().to_vec();
     let injected: Vec<_> = records
         .iter()
@@ -303,7 +332,7 @@ fn an_event_after_the_last_control_boundary_is_warned_about() {
         Fault::BandwidthDegrade { frac: 0.6 },
     ));
     let (tracer, sink) = Tracer::shared(MemorySink::new());
-    run_experiment_traced(&cfg_with(None, 20, plan), &mut AllAu::new(&spec), tracer);
+    run_experiment(&cfg_with(None, 20, plan), &mut AllAu::new(&spec), tracer).expect("run");
     let records = sink.lock().expect("sink lock").records().to_vec();
     let count = |pred: fn(&Event) -> bool| records.iter().filter(|r| pred(&r.event)).count();
     assert_eq!(count(|e| matches!(e, Event::FaultInjected { .. })), 0);
@@ -314,8 +343,8 @@ fn an_event_after_the_last_control_boundary_is_warned_about() {
 fn fault_is_deterministic_too() {
     let spec = PlatformSpec::gen_a();
     let cfg = bw_fault_cfg(None);
-    let a = run_experiment(&cfg, &mut AllAu::new(&spec));
-    let b = run_experiment(&cfg, &mut AllAu::new(&spec));
+    let a = run_experiment(&cfg, &mut AllAu::new(&spec), Tracer::disabled()).expect("run");
+    let b = run_experiment(&cfg, &mut AllAu::new(&spec), Tracer::disabled()).expect("run");
     assert_eq!(a.decode_tps.to_bits(), b.decode_tps.to_bits());
     assert_eq!(
         a.slo.tpot_guarantee.to_bits(),
@@ -331,7 +360,7 @@ fn fault_is_deterministic_too() {
             Fault::SensorNoise { sigma: 0.4 },
         )),
     );
-    let c = run_experiment(&noisy, &mut AllAu::new(&spec));
-    let d = run_experiment(&noisy, &mut AllAu::new(&spec));
+    let c = run_experiment(&noisy, &mut AllAu::new(&spec), Tracer::disabled()).expect("run");
+    let d = run_experiment(&noisy, &mut AllAu::new(&spec), Tracer::disabled()).expect("run");
     assert_eq!(c.decode_tps.to_bits(), d.decode_tps.to_bits());
 }
