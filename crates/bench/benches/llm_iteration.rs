@@ -1,5 +1,8 @@
 //! Serving-iteration cost evaluation: one decode and one prefill step of
-//! llama2-7b through the full op-graph + roofline + PMU pipeline.
+//! llama2-7b through the full op-graph + roofline + PMU pipeline on a
+//! fresh evaluator (the cold path), and a steady decode loop on one
+//! `CostModel` under a fixed grant (the engine's pattern, where the weight
+//! GEMMs hit the kernel memo).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -7,7 +10,7 @@ use aum_au::counters::PmuCounters;
 use aum_au::gemm::ExecContext;
 use aum_au::unit::Precision;
 use aum_llm::config::ModelConfig;
-use aum_llm::cost::{iteration_cost, AuKernels};
+use aum_llm::cost::{iteration_cost, AuKernels, CostModel};
 use aum_llm::ops::Phase;
 use aum_platform::spec::PlatformSpec;
 
@@ -43,6 +46,25 @@ fn bench(c: &mut Criterion) {
                 Precision::Bf16,
                 &kernels,
                 &prefill_ctx,
+                &mut pmu,
+            )
+        })
+    });
+    c.bench_function("llm_iteration/decode_bs16_steady", |b| {
+        let mut memo = CostModel::new(kernels);
+        let mut pmu = PmuCounters::new();
+        let mut context = 855;
+        b.iter(|| {
+            // Context grows by one token per step, as in a decode loop,
+            // and wraps so a long measurement stays at realistic lengths.
+            context = if context < 1879 { context + 1 } else { 855 };
+            memo.iteration(
+                black_box(&model),
+                Phase::Decode,
+                16,
+                context,
+                Precision::Bf16,
+                &decode_ctx,
                 &mut pmu,
             )
         })

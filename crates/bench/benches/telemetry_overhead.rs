@@ -92,7 +92,7 @@ fn bench(c: &mut Criterion) {
     // Self-profiling scoped-timer budget: the disabled path is one relaxed
     // atomic load and must stay within 1.05x of the bare loop — that is the
     // contract that lets the `aum_sim::prof` scopes live permanently inside
-    // `iteration_cost` and the engine step loop. The enabled row prices a
+    // `CostModel::iteration` and the engine step loop. The enabled row prices a
     // full enter/exit (two `Instant` reads plus two relaxed `fetch_add`s);
     // it has no hard budget but is reported so a registry-lock regression
     // on the enter path is visible.

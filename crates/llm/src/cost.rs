@@ -8,13 +8,13 @@
 use serde::{Deserialize, Serialize};
 
 use aum_au::counters::PmuCounters;
-use aum_au::gemm::{gemm_time, pick_unit, Bound, ExecContext};
+use aum_au::gemm::{gemm_time, pick_unit, Bound, ExecContext, GemmExecution, GemmShape};
 use aum_au::unit::{AuKind, AuSpec, Precision};
 use aum_platform::spec::PlatformSpec;
 use aum_sim::time::SimDuration;
 
 use crate::config::ModelConfig;
-use crate::ops::{iteration_ops, IterOp, Phase};
+use crate::ops::{iteration_ops, IterOp, Phase, OPS_PER_ITERATION};
 
 /// Per-region AU kernel set for a platform.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,6 +33,17 @@ impl AuKernels {
             amx: AuSpec::for_platform(spec, AuKind::Amx),
             avx: AuSpec::for_platform(spec, AuKind::Avx512),
         }
+    }
+
+    /// Evaluates `op` on its forced unit, or on the faster of AMX and
+    /// AVX-512 when it has none.
+    fn evaluate(&self, op: &IterOp, prec: Precision, ctx: &ExecContext) -> (AuKind, GemmExecution) {
+        let (unit, exec) = match op.unit {
+            Some(AuKind::Avx512) => (&self.avx, gemm_time(op.shape, prec, &self.avx, ctx)),
+            Some(AuKind::Amx) => (&self.amx, gemm_time(op.shape, prec, &self.amx, ctx)),
+            Some(AuKind::Scalar) | None => pick_unit(op.shape, prec, &self.amx, &self.avx, ctx),
+        };
+        (unit.kind, exec)
     }
 }
 
@@ -54,9 +65,140 @@ pub struct IterationCost {
     pub amx_flop_frac: f64,
 }
 
-/// Evaluates one iteration of `model` in `phase` with `tokens`/`context`
-/// (see [`iteration_ops`]) under the execution context, and accumulates PMU
-/// counters into `pmu`.
+/// Iteration cost evaluator that remembers each op position's last kernel
+/// evaluation.
+///
+/// An engine re-costs the same weight GEMMs every step: their shapes depend
+/// only on the batch size, and the grant changes at most once per control
+/// interval. Slot `i` holds op `i`'s shape, forced unit, picked unit and
+/// [`GemmExecution`], all valid under one stored (grant, precision) key; a
+/// new key clears every slot. A slot whose shape and forced unit match the
+/// op skips [`gemm_time`]/[`pick_unit`]. Everything after the kernel
+/// evaluation still runs per op and in op order, so every
+/// [`IterationCost`] field and PMU counter is bit-identical to a fresh
+/// [`iteration_cost`] call.
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    kernels: AuKernels,
+    /// Grant and precision every filled slot was evaluated under.
+    key: Option<(ExecContext, Precision)>,
+    slots: [Option<Slot>; OPS_PER_ITERATION],
+}
+
+/// One op position's last kernel evaluation.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    shape: GemmShape,
+    forced: Option<AuKind>,
+    kind: AuKind,
+    exec: GemmExecution,
+}
+
+impl CostModel {
+    /// An evaluator over `kernels` with every slot empty.
+    #[must_use]
+    pub fn new(kernels: AuKernels) -> Self {
+        CostModel {
+            kernels,
+            key: None,
+            slots: [None; OPS_PER_ITERATION],
+        }
+    }
+
+    /// Evaluates one iteration of `model` in `phase` with `tokens`/`context`
+    /// (see [`iteration_ops`]) under the execution context, and accumulates
+    /// PMU counters into `pmu`.
+    #[allow(clippy::too_many_arguments)]
+    #[must_use]
+    pub fn iteration(
+        &mut self,
+        model: &ModelConfig,
+        phase: Phase,
+        tokens: usize,
+        context: usize,
+        prec: Precision,
+        ctx: &ExecContext,
+        pmu: &mut PmuCounters,
+    ) -> IterationCost {
+        let _prof = aum_sim::prof::scope("cost.iteration");
+        let ops = iteration_ops(model, phase, tokens, context);
+        self.cost_of_ops(&ops, prec, ctx, pmu)
+    }
+
+    fn cost_of_ops(
+        &mut self,
+        ops: &[IterOp; OPS_PER_ITERATION],
+        prec: Precision,
+        ctx: &ExecContext,
+        pmu: &mut PmuCounters,
+    ) -> IterationCost {
+        let _prof = aum_sim::prof::scope("cost.eval_ops");
+        // `==` is false on NaN, so a NaN grant never hits. It equates `0.0`
+        // with `-0.0`, which no valid grant has: `ExecContext::new` asserts
+        // every field positive.
+        if self.key != Some((*ctx, prec)) {
+            self.key = Some((*ctx, prec));
+            self.slots = [None; OPS_PER_ITERATION];
+        }
+        let mut total = SimDuration::ZERO;
+        let mut flops = 0.0;
+        let mut bytes = 0.0;
+        let mut compute_secs = 0.0;
+        let mut memory_bound_secs = 0.0;
+        let mut amx_flops = 0.0;
+        for (op, slot) in ops.iter().zip(&mut self.slots) {
+            let (kind, exec) = match slot {
+                Some(s) if s.shape == op.shape && s.forced == op.unit => (s.kind, s.exec),
+                _ => {
+                    let (kind, exec) = self.kernels.evaluate(op, prec, ctx);
+                    *slot = Some(Slot {
+                        shape: op.shape,
+                        forced: op.unit,
+                        kind,
+                        exec,
+                    });
+                    (kind, exec)
+                }
+            };
+            let repeat = op.repeat as f64;
+            // Repeats share one launch; scale the steady-state legs.
+            let op_time = SimDuration::from_secs_f64(exec.time.as_secs_f64() * repeat);
+            total += op_time;
+            let op_flops = op.shape.flops() * repeat;
+            flops += op_flops;
+            bytes += op.shape.bytes(prec) * repeat;
+            compute_secs += exec.compute_time.as_secs_f64() * repeat;
+            if exec.bound == Bound::Memory {
+                memory_bound_secs += op_time.as_secs_f64();
+            }
+            if kind == AuKind::Amx {
+                amx_flops += op_flops;
+            }
+            // PMU: record one scaled execution. `record_gemm` reads only the
+            // wall time, throughput and AU-busy cycles, so the legs pass
+            // through per instance.
+            let scaled = GemmExecution {
+                time: op_time,
+                au_busy_cycles_per_core: exec.au_busy_cycles_per_core * repeat,
+                ..exec
+            };
+            pmu.record_gemm(&scaled, kind, ctx.cores, ctx.freq_ghz);
+        }
+        let wall = total.as_secs_f64().max(1e-12);
+        IterationCost {
+            time: total,
+            flops,
+            bytes,
+            bw_demand_gbs: bytes / compute_secs.max(1e-9) / 1e9,
+            memory_bound_frac: (memory_bound_secs / wall).clamp(0.0, 1.0),
+            amx_flop_frac: if flops > 0.0 { amx_flops / flops } else { 0.0 },
+        }
+    }
+}
+
+/// Evaluates one iteration like [`CostModel::iteration`], on a fresh
+/// evaluator: the one-shot entry point for callers that do not step an
+/// engine.
 ///
 /// # Examples
 ///
@@ -91,72 +233,7 @@ pub fn iteration_cost(
     ctx: &ExecContext,
     pmu: &mut PmuCounters,
 ) -> IterationCost {
-    let _prof = aum_sim::prof::scope("cost.iteration");
-    let ops = iteration_ops(model, phase, tokens, context);
-    cost_of_ops(&ops, prec, kernels, ctx, pmu)
-}
-
-/// Evaluates an explicit operator list (used by the profiler's synthetic
-/// sweeps as well as the engine).
-#[must_use]
-pub fn cost_of_ops(
-    ops: &[IterOp],
-    prec: Precision,
-    kernels: &AuKernels,
-    ctx: &ExecContext,
-    pmu: &mut PmuCounters,
-) -> IterationCost {
-    let _prof = aum_sim::prof::scope("cost.eval_ops");
-    let mut total = SimDuration::ZERO;
-    let mut flops = 0.0;
-    let mut bytes = 0.0;
-    let mut compute_secs = 0.0;
-    let mut memory_secs = 0.0;
-    let mut memory_bound_secs = 0.0;
-    let mut amx_flops = 0.0;
-    for op in ops {
-        let (unit, exec) = match op.unit {
-            Some(AuKind::Avx512) => (&kernels.avx, gemm_time(op.shape, prec, &kernels.avx, ctx)),
-            Some(AuKind::Amx) => (&kernels.amx, gemm_time(op.shape, prec, &kernels.amx, ctx)),
-            Some(AuKind::Scalar) | None => {
-                pick_unit(op.shape, prec, &kernels.amx, &kernels.avx, ctx)
-            }
-        };
-        let repeat = op.repeat as f64;
-        // Repeats share one launch; scale the steady-state legs.
-        let op_time = SimDuration::from_secs_f64(exec.time.as_secs_f64() * repeat);
-        total += op_time;
-        let op_flops = op.shape.flops() * repeat;
-        flops += op_flops;
-        bytes += op.shape.bytes(prec) * repeat;
-        compute_secs += exec.compute_time.as_secs_f64() * repeat;
-        memory_secs += exec.memory_time.as_secs_f64() * repeat;
-        if exec.bound == Bound::Memory {
-            memory_bound_secs += op_time.as_secs_f64();
-        }
-        if unit.kind == AuKind::Amx {
-            amx_flops += op_flops;
-        }
-        // PMU: record one scaled execution.
-        let scaled = aum_au::gemm::GemmExecution {
-            time: op_time,
-            compute_time: SimDuration::from_secs_f64(compute_secs),
-            memory_time: SimDuration::from_secs_f64(memory_secs),
-            bound: exec.bound,
-            achieved_tflops: exec.achieved_tflops,
-            au_busy_cycles_per_core: exec.au_busy_cycles_per_core * repeat,
-        };
-        pmu.record_gemm(&scaled, unit.kind, ctx.cores, ctx.freq_ghz);
-    }
-    let wall = total.as_secs_f64().max(1e-12);
-    IterationCost {
-        time: total,
-        flops,
-        bytes,
-        bw_demand_gbs: bytes / compute_secs.max(1e-9) / 1e9,
-        memory_bound_frac: (memory_bound_secs / wall).clamp(0.0, 1.0),
-        amx_flop_frac: if flops > 0.0 { amx_flops / flops } else { 0.0 },
-    }
+    CostModel::new(*kernels).iteration(model, phase, tokens, context, prec, ctx, pmu)
 }
 
 #[cfg(test)]
@@ -171,6 +248,39 @@ mod tests {
             AuKernels::for_platform(&spec),
             spec,
         )
+    }
+
+    #[test]
+    fn memo_reuses_matching_slots_until_the_grant_changes() {
+        let (model, kernels, spec) = setup();
+        let ctx = ExecContext::new(96, 3.1, spec.mem_bw);
+        let mut memo = CostModel::new(kernels);
+        let mut pmu = PmuCounters::new();
+        let mut decode = |memo: &mut CostModel, context, ctx: &ExecContext| {
+            memo.iteration(
+                &model,
+                Phase::Decode,
+                16,
+                context,
+                Precision::Bf16,
+                ctx,
+                &mut pmu,
+            )
+            .time
+            .as_secs_f64()
+        };
+        let clean = decode(&mut memo, 855, &ctx);
+        // Poison qkv_proj's slot: the next step has the same projection
+        // shape, so it must read the slot back instead of re-evaluating.
+        memo.slots[0].as_mut().expect("filled").exec.time = SimDuration::from_secs(1);
+        assert!(
+            decode(&mut memo, 856, &ctx) > 30.0,
+            "one poisoned launch per layer"
+        );
+        // A grant one ulp of bandwidth away clears every slot.
+        let ulp = GbPerSec(f64::from_bits(spec.mem_bw.value().to_bits() + 1));
+        let fresh = decode(&mut memo, 855, &ExecContext::new(96, 3.1, ulp));
+        assert!((fresh - clean).abs() < 1e-3, "{fresh} vs {clean}");
     }
 
     #[test]

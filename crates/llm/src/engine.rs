@@ -30,7 +30,7 @@ use aum_sim::time::{SimDuration, SimTime};
 
 use crate::batching::{ActiveRequest, DecodePool, PrefillQueue};
 use crate::config::ModelConfig;
-use crate::cost::{iteration_cost, AuKernels};
+use crate::cost::{AuKernels, CostModel};
 use crate::ops::Phase;
 use crate::request::{Request, TokenRecord, TtftRecord};
 use crate::slo::{SloReport, SloSpec};
@@ -171,7 +171,11 @@ pub struct IntervalStats {
 #[derive(Debug, Clone)]
 pub struct LlmEngine {
     cfg: EngineConfig,
-    kernels: AuKernels,
+    /// One kernel memo per phase: the time-multiplexed mode interleaves
+    /// prefill and decode steps under one grant, and a shared memo would
+    /// evict one phase's slots with the other's.
+    prefill_cost: CostModel,
+    decode_cost: CostModel,
     trace: VecDeque<Request>,
     queue: PrefillQueue,
     pool: DecodePool,
@@ -222,9 +226,11 @@ impl LlmEngine {
             "trace must be sorted by arrival"
         );
         let max_batch = cfg.max_batch;
+        let kernels = AuKernels::for_platform(platform);
         LlmEngine {
             cfg,
-            kernels: AuKernels::for_platform(platform),
+            prefill_cost: CostModel::new(kernels),
+            decode_cost: CostModel::new(kernels),
             trace: trace.into(),
             queue: PrefillQueue::new(),
             pool: DecodePool::new(max_batch),
@@ -348,13 +354,12 @@ impl LlmEngine {
                 debug_assert!(!batch.is_empty());
                 let tokens: usize = batch.iter().map(|r| r.input_len).sum();
                 let ctx = (tokens / batch.len()).max(1);
-                let cost = iteration_cost(
+                let cost = self.prefill_cost.iteration(
                     &self.cfg.model,
                     Phase::Prefill,
                     tokens,
                     ctx,
                     self.cfg.precision,
-                    &self.kernels,
                     res,
                     &mut self.pmu,
                 );
@@ -387,13 +392,12 @@ impl LlmEngine {
                 };
                 let step = chunk.min(req.input_len - done);
                 // The chunk attends over the already-processed prefix.
-                let cost = iteration_cost(
+                let cost = self.prefill_cost.iteration(
                     &self.cfg.model,
                     Phase::Prefill,
                     step,
                     (done + step).max(1),
                     self.cfg.precision,
-                    &self.kernels,
                     res,
                     &mut self.pmu,
                 );
@@ -544,13 +548,12 @@ impl LlmEngine {
         let batch = self.pool.batch();
         debug_assert!(batch > 0);
         let ctx = self.pool.mean_context();
-        let cost = iteration_cost(
+        let cost = self.decode_cost.iteration(
             &self.cfg.model,
             Phase::Decode,
             batch,
             ctx,
             self.cfg.precision,
-            &self.kernels,
             res,
             &mut self.pmu,
         );

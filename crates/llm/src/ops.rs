@@ -86,6 +86,9 @@ fn ffn_down_width(model: &ModelConfig) -> usize {
     }
 }
 
+/// Operators in one iteration (the length of [`iteration_ops`]'s list).
+pub const OPS_PER_ITERATION: usize = 8;
+
 /// Builds the operator list for one iteration.
 ///
 /// For prefill, `tokens` is `batch × prompt_len` and `context` the prompt
@@ -113,7 +116,7 @@ pub fn iteration_ops(
     phase: Phase,
     tokens: usize,
     context: usize,
-) -> Vec<IterOp> {
+) -> [IterOp; OPS_PER_ITERATION] {
     assert!(tokens > 0, "iteration needs at least one token");
     assert!(context > 0, "context length must be positive");
     let d = model.d_model;
@@ -143,7 +146,7 @@ pub fn iteration_ops(
         Phase::Prefill => (m / context).max(1), // only last position per prompt
         Phase::Decode => m,
     };
-    vec![
+    [
         IterOp {
             label: "qkv_proj",
             shape: GemmShape::new(m, d, d + model.kv_dim()),

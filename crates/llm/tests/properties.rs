@@ -1,6 +1,7 @@
 //! Property-based tests of the LLM serving substrate: conservation laws of
-//! continuous batching, trace-generation statistics, and cost-model
-//! monotonicity under arbitrary workloads.
+//! continuous batching, trace-generation statistics, cost-model
+//! monotonicity under arbitrary workloads, and exactness of the cost
+//! model's kernel memo.
 
 use proptest::prelude::*;
 
@@ -9,12 +10,13 @@ use aum_au::gemm::ExecContext;
 use aum_au::unit::Precision;
 use aum_llm::batching::{ActiveRequest, DecodePool, PrefillQueue};
 use aum_llm::config::ModelConfig;
-use aum_llm::cost::{iteration_cost, AuKernels};
+use aum_llm::cost::{iteration_cost, AuKernels, CostModel, IterationCost};
 use aum_llm::engine::{EngineConfig, EngineMode, EngineResources, LlmEngine, RegionResources};
 use aum_llm::ops::{iteration_ops, IterOp, Phase};
 use aum_llm::request::Request;
 use aum_llm::traces::{Scenario, TraceGenerator};
 use aum_platform::spec::PlatformSpec;
+use aum_platform::units::GbPerSec;
 use aum_sim::rng::DetRng;
 use aum_sim::time::{SimDuration, SimTime};
 
@@ -26,8 +28,78 @@ fn any_scenario() -> impl Strategy<Value = Scenario> {
     ]
 }
 
+/// Grants the memo property switches between: a base grant, one a single
+/// ulp of bandwidth above it, one differing only in `compute_penalty`, and
+/// a smaller contended one.
+fn memo_grants(spec: &PlatformSpec) -> [ExecContext; 4] {
+    let base = ExecContext::new(96, 3.1, spec.mem_bw);
+    let ulp = GbPerSec(f64::from_bits(spec.mem_bw.value().to_bits() + 1));
+    [
+        base,
+        ExecContext::new(96, 3.1, ulp),
+        base.with_penalties(1.0, 1.25),
+        ExecContext::new(24, 2.5, GbPerSec(spec.mem_bw.value() / 2.0)).with_penalties(1.3, 1.0),
+    ]
+}
+
+fn cost_bits(c: &IterationCost) -> [u64; 6] {
+    [
+        c.time.as_nanos(),
+        c.flops.to_bits(),
+        c.bytes.to_bits(),
+        c.bw_demand_gbs.to_bits(),
+        c.memory_bound_frac.to_bits(),
+        c.amx_flop_frac.to_bits(),
+    ]
+}
+
+fn pmu_bits(p: &PmuCounters) -> [u64; 6] {
+    [
+        p.cycles,
+        p.amx_busy_cycles,
+        p.amx_fp_uops,
+        p.avx_fp_uops,
+        p.scalar_fp_uops,
+        p.total_uops,
+    ]
+    .map(f64::to_bits)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One `CostModel` stepped through a call sequence returns, bit for
+    /// bit, what fresh `iteration_cost` calls return, and accumulates the
+    /// same PMU counters. Phases interleave on one memo (harsher than the
+    /// engine's one memo per phase); the grant and precision change only
+    /// now and then, so most steps run against filled slots.
+    #[test]
+    fn cost_model_memo_matches_fresh_evaluation(
+        steps in prop::collection::vec(
+            (any::<bool>(), 1usize..8, 1usize..2048, 0u8..5, 0usize..4, any::<bool>()),
+            1..48,
+        ),
+    ) {
+        let spec = PlatformSpec::gen_a();
+        let kernels = AuKernels::for_platform(&spec);
+        let model = ModelConfig::llama2_7b();
+        let grants = memo_grants(&spec);
+        let mut memo = CostModel::new(kernels);
+        let mut memo_pmu = PmuCounters::new();
+        let mut fresh_pmu = PmuCounters::new();
+        let (mut grant, mut prec) = (&grants[0], Precision::Bf16);
+        for (prefill, tokens, context, regrant, g, int8) in steps {
+            if regrant == 0 {
+                grant = &grants[g];
+                prec = if int8 { Precision::Int8 } else { Precision::Bf16 };
+            }
+            let phase = if prefill { Phase::Prefill } else { Phase::Decode };
+            let a = memo.iteration(&model, phase, tokens, context, prec, grant, &mut memo_pmu);
+            let b = iteration_cost(&model, phase, tokens, context, prec, &kernels, grant, &mut fresh_pmu);
+            prop_assert_eq!(cost_bits(&a), cost_bits(&b));
+            prop_assert_eq!(pmu_bits(&memo_pmu), pmu_bits(&fresh_pmu));
+        }
+    }
 
     #[test]
     fn traces_are_sorted_sized_and_bounded(
