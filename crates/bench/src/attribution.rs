@@ -151,7 +151,7 @@ pub fn run_study(study: &str, quick: bool) -> Result<StudyReport, String> {
     render_breach_blame(&mut text, ledger, &records);
 
     let mut prom_text = String::new();
-    if let Some(last) = outcome.metrics.last() {
+    if let Some(last) = &outcome.final_metrics {
         prom_text.push_str(&prom::render_registry(last));
     }
     prom_text.push_str(&prom::render_ledger(ledger));

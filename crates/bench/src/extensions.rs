@@ -1,7 +1,7 @@
 //! Extension experiments beyond the paper's evaluation: design-choice
 //! ablations (DESIGN.md §5) and the §VIII future-work directions.
 
-use aum::cluster::{run_cluster, ClusterConfig, RoutingPolicy};
+use aum::cluster::{run_cluster_with, server_models, ClusterConfig, RoutingPolicy};
 use aum::controller::AumController;
 use aum::experiment::{run_experiment, ExperimentConfig};
 use aum::profiler::{build_model, default_allocations, default_divisions, ProfilerConfig};
@@ -197,10 +197,12 @@ pub fn ablate() -> String {
 }
 
 /// §VIII extension: AUV-aware cluster load balancing across the three
-/// heterogeneous platforms.
+/// heterogeneous platforms. The servers are profiled once; every policy
+/// routes with the same models.
 #[must_use]
 pub fn cluster() -> String {
     let cfg = ClusterConfig::heterogeneous_demo(Scenario::Chatbot);
+    let models = server_models(&cfg);
     let mut t = TextTable::new([
         "routing policy",
         "cluster efficiency",
@@ -212,7 +214,7 @@ pub fn cluster() -> String {
         RoutingPolicy::BandwidthProportional,
         RoutingPolicy::AuvWeighted,
     ] {
-        let out = run_cluster(&cfg, policy);
+        let out = run_cluster_with(&cfg, policy, &models, &Tracer::disabled());
         t.row([
             out.policy.clone(),
             fmt3(out.efficiency),

@@ -10,7 +10,7 @@ use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::telemetry::{parse_jsonl, Event, JsonlSink, OrderingSink, Tracer};
-use aum_sim::SimDuration;
+use aum_sim::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
 #[test]
@@ -89,12 +89,12 @@ fn short_colocation_trace_is_consistent_and_lossless() {
     let reparsed = parse_jsonl(&rewritten).expect("re-serialized trace parses");
     assert_eq!(records, reparsed, "serde round-trip must be lossless");
 
-    // The outcome's metrics time series covers the run.
-    assert!(
-        !outcome.metrics.is_empty(),
-        "traced run should snapshot the metrics registry"
-    );
-    assert!(outcome.metrics.windows(2).all(|w| w[0].at < w[1].at));
+    // The outcome's final metrics snapshot closes the run.
+    let last = outcome
+        .final_metrics
+        .as_ref()
+        .expect("traced run should snapshot the metrics registry");
+    assert_eq!(last.at, SimTime::ZERO + cfg.duration);
 }
 
 /// `Tracer::emit` with no sink must short-circuit before constructing the

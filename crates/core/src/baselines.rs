@@ -58,6 +58,10 @@ impl ResourceManager for AllAu {
             engine_mode: EngineMode::TimeMultiplexed,
         }
     }
+
+    fn observes_latency(&self) -> bool {
+        false
+    }
 }
 
 /// AUV-oblivious SMT sharing (Holmes-style): serving keeps every physical
@@ -89,6 +93,10 @@ impl ResourceManager for SmtAu {
             smt_sharing: true,
             engine_mode: EngineMode::TimeMultiplexed,
         }
+    }
+
+    fn observes_latency(&self) -> bool {
+        false
     }
 }
 
@@ -202,6 +210,10 @@ impl ResourceManager for AuUp {
             engine_mode: EngineMode::Partitioned,
         }
     }
+
+    fn observes_latency(&self) -> bool {
+        false
+    }
 }
 
 /// AUM variant with only Variation-2 (frequency interference) awareness:
@@ -239,6 +251,10 @@ impl ResourceManager for AuFi {
             smt_sharing: false,
             engine_mode: EngineMode::Partitioned,
         }
+    }
+
+    fn observes_latency(&self) -> bool {
+        false
     }
 }
 
@@ -333,6 +349,10 @@ impl ResourceManager for StaticBest {
 
     fn decide(&mut self, _state: &SystemState) -> Decision {
         self.decision
+    }
+
+    fn observes_latency(&self) -> bool {
+        false
     }
 }
 

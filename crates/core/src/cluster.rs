@@ -47,7 +47,7 @@ pub enum RoutingPolicy {
     /// AUV-weighted shares, re-weighted every epoch from node health by
     /// the fleet router ([`crate::fleet::run_fleet_traced`]): a failed node's
     /// share redistributes to survivors. In the steady-state split of
-    /// [`run_cluster`] (no faults, no epochs) it is identical to
+    /// [`run_cluster_with`] (no faults, no epochs) it is identical to
     /// [`RoutingPolicy::AuvWeighted`].
     Failover,
 }
@@ -93,7 +93,7 @@ pub struct ClusterConfig {
     /// Efficiency prices.
     pub prices: Prices,
     /// Scripted node faults ([`crate::fleet::run_fleet_traced`] replays them;
-    /// the steady-state [`run_cluster`] split ignores them).
+    /// the steady-state [`run_cluster_with`] split ignores them).
     #[serde(default)]
     pub fault_plan: NodeFaultPlan,
     /// Epoch router tunables for the fleet resilience plane.
@@ -159,13 +159,21 @@ pub struct ClusterOutcome {
     pub violation_rate: f64,
 }
 
-/// Profiles each server (AUM path) and returns its AUV model.
-fn server_model(server: &ServerConfig, scenario: Scenario) -> AuvModel {
-    build_model(&ProfilerConfig::paper_default(
-        server.platform.clone(),
-        scenario,
-        server.be.unwrap_or(BeKind::SpecJbb),
-    ))
+/// Profiles every server of the cluster once, in server order: the AUV
+/// models [`run_cluster_with`] and [`routing_weights`] take. A server
+/// without a co-runner is profiled against SPECjbb.
+#[must_use]
+pub fn server_models(cfg: &ClusterConfig) -> Vec<AuvModel> {
+    cfg.servers
+        .iter()
+        .map(|server| {
+            build_model(&ProfilerConfig::paper_default(
+                server.platform.clone(),
+                cfg.scenario,
+                server.be.unwrap_or(BeKind::SpecJbb),
+            ))
+        })
+        .collect()
 }
 
 /// Routing weights for a policy (normalized to sum 1).
@@ -226,21 +234,11 @@ fn slo_tracked(outcome: &Outcome) -> f64 {
 }
 
 /// Runs the cluster under a routing policy with per-server AUM controllers
-/// (or ALL-AU when a server has no co-runner). Servers run concurrently.
-#[must_use]
-pub fn run_cluster(cfg: &ClusterConfig, policy: RoutingPolicy) -> ClusterOutcome {
-    let models: Vec<AuvModel> = cfg
-        .servers
-        .iter()
-        .map(|s| server_model(s, cfg.scenario))
-        .collect();
-    run_cluster_with(cfg, policy, &models, &Tracer::disabled())
-}
-
-/// [`run_cluster`] with pre-built AUV models (one per server) and a
-/// harness tracer. Per-server simulation traces merge into `tracer` in
-/// canonical server order via the sweep executor, so the merged trace is
-/// byte-identical at any `--jobs` setting.
+/// (or ALL-AU when a server has no co-runner), from pre-built AUV models
+/// (one per server, see [`server_models`]), so several policies can share
+/// one profile. Servers run concurrently; per-server simulation traces
+/// merge into `tracer` in canonical server order via the sweep executor,
+/// so the merged trace is byte-identical at any `--jobs` setting.
 ///
 /// # Panics
 ///
@@ -332,6 +330,8 @@ fn run_cluster_weighted(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
     fn small_cluster() -> ClusterConfig {
@@ -340,21 +340,28 @@ mod tests {
         cfg
     }
 
+    /// The demo cluster's AUV models, profiled once for all the tests
+    /// here: a model depends only on platform, scenario and co-runner,
+    /// never on another test's run.
+    fn models() -> &'static [AuvModel] {
+        static MODELS: OnceLock<Vec<AuvModel>> = OnceLock::new();
+        MODELS.get_or_init(|| server_models(&small_cluster()))
+    }
+
+    fn run(policy: RoutingPolicy) -> ClusterOutcome {
+        run_cluster_with(&small_cluster(), policy, models(), &Tracer::disabled())
+    }
+
     #[test]
     fn weights_normalize_for_every_policy() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
         for policy in [
             RoutingPolicy::Uniform,
             RoutingPolicy::BandwidthProportional,
             RoutingPolicy::AuvWeighted,
             RoutingPolicy::Failover,
         ] {
-            let w = routing_weights(&cfg, policy, &models);
+            let w = routing_weights(&cfg, policy, models());
             assert_eq!(w.len(), cfg.servers.len());
             assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{policy}");
             assert!(w.iter().all(|&x| x > 0.0));
@@ -364,26 +371,16 @@ mod tests {
     #[test]
     fn failover_starts_from_the_auv_split() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
         assert_eq!(
-            routing_weights(&cfg, RoutingPolicy::Failover, &models),
-            routing_weights(&cfg, RoutingPolicy::AuvWeighted, &models),
+            routing_weights(&cfg, RoutingPolicy::Failover, models()),
+            routing_weights(&cfg, RoutingPolicy::AuvWeighted, models()),
         );
     }
 
     #[test]
     fn bandwidth_policy_prefers_fast_memory() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
-        let w = routing_weights(&cfg, RoutingPolicy::BandwidthProportional, &models);
+        let w = routing_weights(&cfg, RoutingPolicy::BandwidthProportional, models());
         // GenA (233.8 GB/s) < GenB (588) ≈ GenC (600).
         assert!(w[0] < w[1]);
         assert!(w[0] < w[2]);
@@ -391,8 +388,7 @@ mod tests {
 
     #[test]
     fn cluster_runs_and_aggregates() {
-        let cfg = small_cluster();
-        let out = run_cluster(&cfg, RoutingPolicy::AuvWeighted);
+        let out = run(RoutingPolicy::AuvWeighted);
         assert_eq!(out.per_server.len(), 3);
         assert_eq!(out.served, vec![0, 1, 2]);
         assert!(out.efficiency > 0.0);
@@ -409,17 +405,12 @@ mod tests {
     #[test]
     fn zero_weight_servers_are_skipped_not_trickled() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
         let weights = [0.0, 0.6, 0.4];
         let out = run_cluster_weighted(
             &cfg,
             "hand-weighted".to_string(),
             &weights,
-            &models,
+            models(),
             &Tracer::disabled(),
         );
         assert_eq!(out.served, vec![1, 2], "zero-weight server gets no cell");
@@ -445,9 +436,8 @@ mod tests {
     fn auv_weighted_beats_uniform_on_heterogeneous_fleet() {
         // The §VIII claim: exploiting per-server AUV in load balancing
         // improves cluster efficiency over AUV-blind routing.
-        let cfg = small_cluster();
-        let uniform = run_cluster(&cfg, RoutingPolicy::Uniform);
-        let auv = run_cluster(&cfg, RoutingPolicy::AuvWeighted);
+        let uniform = run(RoutingPolicy::Uniform);
+        let auv = run(RoutingPolicy::AuvWeighted);
         assert!(
             auv.efficiency > uniform.efficiency * 0.98,
             "AUV-aware routing must not lose to uniform: {} vs {}",

@@ -140,17 +140,14 @@ pub struct Outcome {
     pub shared_llc_samples: Samples,
     /// Per-interval samples of the shared class's bandwidth fraction ×100.
     pub shared_bw_samples: Samples,
-    /// Per-interval samples of the None-region core count.
-    pub none_core_samples: Samples,
     /// Low-region frequency telemetry.
     pub freq_low: TimeSeries,
-    /// Package power telemetry.
-    pub power: TimeSeries,
-    /// Metrics-registry snapshots, one per control interval: counters
-    /// (tokens, completions), gauges (power, utilization, queue depth) and
-    /// per-interval latency quantiles.
+    /// The run's metrics at its end: counters over the whole run (tokens,
+    /// completions) and the last interval's gauges (power, utilization,
+    /// queue depth, recent latency quantiles). `None` for a run with no
+    /// control interval.
     #[serde(default)]
-    pub metrics: Vec<MetricsSnapshot>,
+    pub final_metrics: Option<MetricsSnapshot>,
     /// Per-interval, per-region time/energy attribution (see
     /// [`aum_sim::attrib`]). Verified against the conservation invariants
     /// before the run returns; pre-ledger outcomes deserialize empty.
@@ -163,17 +160,6 @@ impl Outcome {
     #[must_use]
     pub fn efficiency_vs(&self, baseline: &Outcome) -> f64 {
         self.efficiency / baseline.efficiency.max(1e-12)
-    }
-
-    /// Serializes the full outcome (metrics, CDF samples, telemetry
-    /// series) as pretty-printed JSON — the machine-readable artifact for
-    /// external plotting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::error::AumError`] on encoding failure.
-    pub fn to_json_pretty(&self) -> Result<String, crate::error::AumError> {
-        Ok(serde_json::to_string_pretty(self)?)
     }
 }
 
@@ -264,10 +250,11 @@ struct Run<'a> {
     decode_tokens: u64,
     shared_llc_samples: Samples,
     shared_bw_samples: Samples,
-    none_core_samples: Samples,
     freq_low: TimeSeries,
-    power_series: TimeSeries,
-    registry: MetricsRegistry,
+    requests_completed: u64,
+    /// The registry gauges as the latest interval left them; the final
+    /// metrics snapshot publishes them.
+    gauges: [(&'static str, f64); 8],
     ledger: Ledger,
 }
 
@@ -412,10 +399,9 @@ impl<'a> Run<'a> {
             decode_tokens: 0,
             shared_llc_samples: Samples::new(),
             shared_bw_samples: Samples::new(),
-            none_core_samples: Samples::new(),
             freq_low: TimeSeries::new("freq_low_ghz"),
-            power_series: TimeSeries::new("power_w"),
-            registry: MetricsRegistry::new(),
+            requests_completed: 0,
+            gauges: [("", 0.0); 8],
             ledger: Ledger::new(),
         })
     }
@@ -439,7 +425,7 @@ impl<'a> Run<'a> {
             label: format!("interval {step}"),
         });
         let faults = self.fault_edges(now)?;
-        let state = self.observe(now, &faults);
+        let state = self.observe(now, &faults, step + 1 == self.steps);
         let mut decision = self.decide(&state, faults.offline_cores)?;
         self.rdt_write(step, &mut decision, faults.rdt_failure);
         let iv = self.platform_loads(state, decision, faults.be_surge);
@@ -526,20 +512,26 @@ impl<'a> Run<'a> {
 
     /// Observe: the telemetry the manager sees, as sensor faults corrupt
     /// it (the ground truth driving the engine and platform stays intact).
-    fn observe(&mut self, now: SimTime, faults: &FaultEffects) -> SystemState {
+    /// The latency windows are selected only when read: by the manager,
+    /// by a sensor dropout's frozen frame, or by the final snapshot in the
+    /// `last` interval. Skipping them is exact (DESIGN.md §16.1).
+    fn observe(&mut self, now: SimTime, faults: &FaultEffects, last: bool) -> SystemState {
         let _prof = aum_sim::prof::scope("ctrl.observe");
-        let (ttft_p50, ttft_p90) = recent_quantiles(
-            self.engine.ttft_records(),
-            TTFT_WINDOW,
-            |r| r.ttft.as_secs_f64(),
-            &mut self.window_buf,
-        );
-        let (tpot_p50, tpot_p90) = recent_quantiles(
-            self.engine.token_records(),
-            TPOT_WINDOW,
-            |r| r.exec.as_secs_f64(),
-            &mut self.window_buf,
-        );
+        let (mut ttft, mut tpot) = ((0.0, 0.0), (0.0, 0.0));
+        if last || faults.sensor_dropout || self.manager.observes_latency() {
+            ttft = recent_quantiles(
+                self.engine.ttft_records(),
+                TTFT_WINDOW,
+                |r| r.ttft.as_secs_f64(),
+                &mut self.window_buf,
+            );
+            tpot = recent_quantiles(
+                self.engine.token_records(),
+                TPOT_WINDOW,
+                |r| r.exec.as_secs_f64(),
+                &mut self.window_buf,
+            );
+        }
         let mut state = SystemState {
             now,
             scenario: self.cfg.scenario,
@@ -548,10 +540,10 @@ impl<'a> Run<'a> {
             head_wait: self.engine.head_wait(),
             decode_batch: self.engine.decode_batch(),
             worst_lag_secs: self.engine.worst_lag_secs(),
-            recent_ttft_p50: ttft_p50,
-            recent_ttft_p90: ttft_p90,
-            recent_tpot_p50: tpot_p50,
-            recent_tpot_p90: tpot_p90,
+            recent_ttft_p50: ttft.0,
+            recent_ttft_p90: ttft.1,
+            recent_tpot_p50: tpot.0,
+            recent_tpot_p90: tpot.1,
             power_w: self.last_power,
             bw_utilization: self.last_bw_util,
         };
@@ -567,7 +559,9 @@ impl<'a> Run<'a> {
         if sigma > 0.0 {
             // Multiplicative lognormal noise on the continuous sensors:
             // stays positive, is unbiased in log space, and scales with
-            // the reading's magnitude like real measurement jitter.
+            // the reading's magnitude like real measurement jitter. Every
+            // sensor draws, skipped windows included, so the noise stream
+            // stays in step whatever the manager reads.
             let mut jitter = |v: f64| v * self.sensor_rng.normal(0.0, sigma).exp();
             state.recent_ttft_p50 = jitter(state.recent_ttft_p50);
             state.recent_ttft_p90 = jitter(state.recent_ttft_p90);
@@ -993,9 +987,9 @@ impl<'a> Run<'a> {
         self.ledger.intervals.push(interval);
     }
 
-    /// Accounting and feedback: folds the interval into the accumulators
-    /// and the metrics registry, and keeps the demands observed while busy
-    /// for the next interval's loads.
+    /// Accounting and feedback: folds the interval into the accumulators,
+    /// keeps its registry gauges for the final snapshot, and keeps the
+    /// demands observed while busy for the next interval's loads.
     fn account(&mut self, iv: &Interval, snap: &PlatformSnapshot, stats: &IntervalStats) {
         let _prof = aum_sim::prof::scope("ctrl.accounting");
         let (state, now) = (&iv.state, iv.state.now);
@@ -1005,28 +999,21 @@ impl<'a> Run<'a> {
         self.energy_j += power * self.dt.as_secs_f64();
         self.prefill_tokens += stats.prefill_tokens;
         self.decode_tokens += stats.decode_tokens;
+        self.requests_completed += stats.completed;
         self.shared_llc_samples.record(shared_llc);
         let shared_bw = iv.decision.allocation.shared.mem_bw_frac;
         self.shared_bw_samples.record(shared_bw * 100.0);
-        let none_cores = iv.decision.division.cores(AuUsageLevel::None);
-        self.none_core_samples.record(none_cores as f64);
         self.freq_low.push(now, freq_low);
-        self.power_series.push(now, power);
-
-        // Metrics registry: one snapshot per control interval.
-        let registry = &mut self.registry;
-        registry.counter_add("prefill_tokens", stats.prefill_tokens);
-        registry.counter_add("decode_tokens", stats.decode_tokens);
-        registry.counter_add("requests_completed", stats.completed);
-        registry.gauge_set("power_w", power);
-        registry.gauge_set("bw_utilization", snap.bw_utilization);
-        registry.gauge_set("queue_len", state.queue_len as f64);
-        registry.gauge_set("decode_batch", state.decode_batch as f64);
-        registry.gauge_set("freq_low_ghz", freq_low);
-        registry.gauge_set("shared_llc_ways", shared_llc);
-        registry.gauge_set("recent_ttft_p90", state.recent_ttft_p90);
-        registry.gauge_set("recent_tpot_p50", state.recent_tpot_p50);
-        let _ = registry.snapshot(now + self.dt);
+        self.gauges = [
+            ("power_w", power),
+            ("bw_utilization", snap.bw_utilization),
+            ("queue_len", state.queue_len as f64),
+            ("decode_batch", state.decode_batch as f64),
+            ("freq_low_ghz", freq_low),
+            ("shared_llc_ways", shared_llc),
+            ("recent_ttft_p90", state.recent_ttft_p90),
+            ("recent_tpot_p50", state.recent_tpot_p50),
+        ];
 
         // Feedback for the next interval: demands observed while busy.
         let last = &mut self.last_stats;
@@ -1042,8 +1029,8 @@ impl<'a> Run<'a> {
         self.last_bw_util = snap.bw_utilization;
     }
 
-    /// Finish: verifies the ledger, balances the span forest and builds
-    /// the [`Outcome`].
+    /// Finish: verifies the ledger, balances the span forest, takes the
+    /// final metrics snapshot and builds the [`Outcome`].
     fn finish(mut self) -> Result<Outcome, AumError> {
         let cfg = self.cfg;
         let secs = cfg.duration.as_secs_f64();
@@ -1071,6 +1058,16 @@ impl<'a> Run<'a> {
             }
         }
         self.tracer.flush();
+        let final_metrics = (self.steps > 0).then(|| {
+            let mut registry = MetricsRegistry::new();
+            registry.counter_add("prefill_tokens", self.prefill_tokens);
+            registry.counter_add("decode_tokens", self.decode_tokens);
+            registry.counter_add("requests_completed", self.requests_completed);
+            for (name, value) in self.gauges {
+                registry.gauge_set(name, value);
+            }
+            registry.snapshot(end)
+        });
         let outcome = Outcome {
             scheme: self.manager.name().to_owned(),
             slo: self.engine.slo_report(),
@@ -1082,10 +1079,8 @@ impl<'a> Run<'a> {
             completed: self.engine.completed(),
             shared_llc_samples: self.shared_llc_samples,
             shared_bw_samples: self.shared_bw_samples,
-            none_core_samples: self.none_core_samples,
             freq_low: self.freq_low,
-            power: self.power_series,
-            metrics: self.registry.into_history(),
+            final_metrics,
             ledger: self.ledger,
         };
         publish_live(&outcome);
@@ -1098,7 +1093,7 @@ impl<'a> Run<'a> {
 /// this is 8 s of simulated dead air — far beyond any healthy pause.
 const WATCHDOG_STALL_INTERVALS: u32 = 16;
 
-/// Publishes this run's final Prometheus exposition — the last registry
+/// Publishes this run's final Prometheus exposition — the final metrics
 /// snapshot plus the SLO latency histograms — to the live `/metrics`
 /// endpoint, when one is installed ([`aum_sim::live`]). Runs executed as
 /// sweep cells call this on completion, which is exactly the "refresh per
@@ -1109,7 +1104,7 @@ fn publish_live(outcome: &Outcome) {
         return;
     };
     let mut text = String::new();
-    if let Some(last) = outcome.metrics.last() {
+    if let Some(last) = &outcome.final_metrics {
         text.push_str(&aum_sim::prom::render_registry(last));
     }
     text.push_str(&aum_sim::prom::render_histogram(
@@ -1351,25 +1346,24 @@ mod tests {
     }
 
     #[test]
-    fn outcome_exports_json() {
-        let cfg = short_cfg(None);
-        let out =
-            run_experiment(&cfg, &mut exclusive_manager(96), Tracer::disabled()).expect("run");
-        let json = out.to_json_pretty().expect("encode");
-        assert!(json.contains("\"efficiency\""));
-        assert!(json.contains("\"freq_low\""));
-        let back: Outcome = serde_json::from_str(&json).expect("decode");
-        assert_eq!(back.scheme, out.scheme);
-        assert_eq!(back.completed, out.completed);
-    }
-
-    #[test]
     fn telemetry_series_are_recorded() {
         let cfg = short_cfg(Some(BeKind::SpecJbb));
         let out = run_experiment(&cfg, &mut shared_manager(96), Tracer::disabled()).expect("run");
         assert_eq!(out.freq_low.len(), 120); // 60 s / 500 ms
         assert_eq!(out.shared_llc_samples.len(), 120);
-        assert!(out.power.value_summary().mean() > 100.0);
+    }
+
+    #[test]
+    fn final_metrics_close_the_run() {
+        let cfg = short_cfg(Some(BeKind::SpecJbb));
+        let out = run_experiment(&cfg, &mut shared_manager(96), Tracer::disabled()).expect("run");
+        let last = out.final_metrics.expect("a run with intervals snapshots");
+        assert_eq!(last.at, SimTime::from_secs(60));
+        assert_eq!(last.counters["requests_completed"], out.completed);
+        let decode = (out.decode_tps * cfg.duration.as_secs_f64()).round() as u64;
+        assert_eq!(last.counters["decode_tokens"], decode);
+        assert!(last.gauges["power_w"] > 100.0);
+        assert_eq!(last.gauges.len(), 8);
     }
 
     #[test]

@@ -86,6 +86,13 @@ pub trait ResourceManager {
     fn resilience(&self) -> Option<ResilienceMode> {
         None
     }
+
+    /// Whether [`Self::decide`] reads the `recent_*` latency fields of
+    /// [`SystemState`]. If not, the harness leaves them at 0.0 in the
+    /// intervals where nothing else reads them (DESIGN.md §16.1).
+    fn observes_latency(&self) -> bool {
+        true
+    }
 }
 
 /// A manager that always returns the same decision — used by the background
@@ -117,6 +124,10 @@ impl ResourceManager for StaticManager {
 
     fn decide(&mut self, _state: &SystemState) -> Decision {
         self.decision
+    }
+
+    fn observes_latency(&self) -> bool {
+        false
     }
 }
 

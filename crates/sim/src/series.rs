@@ -3,7 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::stats::Summary;
 use crate::time::SimTime;
 
 /// An append-only `(time, value)` series with monotonically non-decreasing
@@ -139,16 +138,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Summary over raw values (not time weighted).
-    #[must_use]
-    pub fn value_summary(&self) -> Summary {
-        let mut s = Summary::new();
-        for &v in &self.values {
-            s.record(v);
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -223,13 +212,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[1].starts_with("0.000000000,1"));
         assert!(lines[3].starts_with("20.000000000,5"));
-    }
-
-    #[test]
-    fn value_summary_covers_all_points() {
-        let ts = series();
-        let s = ts.value_summary();
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
     }
 }

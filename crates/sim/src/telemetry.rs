@@ -725,12 +725,13 @@ impl Tracer {
     }
 }
 
-/// One point-in-time capture of the registry, taken per control interval.
+/// One point-in-time capture of the registry: a run's final metrics, or a
+/// fleet node's state at a health transition or at the run's end.
 ///
-/// The maps are `Arc`-shared with the registry's internal caches: an
-/// interval in which no counter (or gauge) changed reuses the previous
-/// snapshot's allocation instead of cloning every entry, so a long run's
-/// history costs O(changed intervals), not O(intervals × map size). The
+/// The maps are `Arc`-shared with the registry's internal caches: a
+/// snapshot taken when no counter (or gauge) changed since the previous
+/// one reuses its allocation instead of cloning every entry, so periodic
+/// snapshots cost O(changes), not O(snapshots × map size). The
 /// `telemetry_overhead` bench's `registry_snapshot_10k` case asserts this.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -744,13 +745,12 @@ pub struct MetricsSnapshot {
 }
 
 /// Lightweight metrics registry: named counters, gauges and histograms,
-/// snapshotted on demand into a time series.
+/// snapshotted on demand.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Samples>,
-    history: Vec<MetricsSnapshot>,
     /// Snapshot of `counters` as of the last `snapshot()` call, reused
     /// while no counter mutates. `None` = dirty.
     counters_cache: Option<Arc<BTreeMap<String, u64>>>,
@@ -798,14 +798,14 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    /// Captures the current state into the time series and returns the
-    /// snapshot. Histograms contribute p50/p90/p99 gauges and reset, so
-    /// each snapshot describes one interval's distribution.
+    /// Captures the current state. Histograms contribute p50/p90/p99
+    /// gauges and reset, so each snapshot describes the distribution since
+    /// the previous one.
     ///
     /// Quiet intervals are cheap: when no counter (or gauge/histogram)
     /// changed since the previous snapshot, the new snapshot shares the
     /// previous one's map allocation via `Arc` instead of deep-cloning it.
-    pub fn snapshot(&mut self, at: SimTime) -> &MetricsSnapshot {
+    pub fn snapshot(&mut self, at: SimTime) -> MetricsSnapshot {
         let counters = self
             .counters_cache
             .get_or_insert_with(|| Arc::new(self.counters.clone()))
@@ -831,24 +831,11 @@ impl MetricsRegistry {
                 .clone()
         };
         self.histograms.clear();
-        self.history.push(MetricsSnapshot {
+        MetricsSnapshot {
             at,
             counters,
             gauges,
-        });
-        self.history.last().expect("just pushed")
-    }
-
-    /// The snapshots taken so far, in time order.
-    #[must_use]
-    pub fn history(&self) -> &[MetricsSnapshot] {
-        &self.history
-    }
-
-    /// Consumes the registry, returning the snapshot time series.
-    #[must_use]
-    pub fn into_history(self) -> Vec<MetricsSnapshot> {
-        self.history
+        }
     }
 }
 
@@ -1181,17 +1168,18 @@ mod tests {
         reg.observe("tpot_secs", 0.05);
         reg.observe("tpot_secs", 0.07);
         reg.observe("tpot_secs", 0.06);
-        let snap = reg.snapshot(SimTime::from_secs(1)).clone();
+        let snap = reg.snapshot(SimTime::from_secs(1));
         assert_eq!(snap.counters["requests_finished"], 3);
         assert_eq!(snap.gauges["power_w"], 212.5);
         assert!(snap.gauges["tpot_secs/p50"] >= 0.05);
 
         reg.counter_add("requests_finished", 2);
-        let snap2 = reg.snapshot(SimTime::from_secs(2)).clone();
+        let snap2 = reg.snapshot(SimTime::from_secs(2));
         assert_eq!(snap2.counters["requests_finished"], 5);
         // Histogram reset between intervals: no stale quantiles.
         assert!(!snap2.gauges.contains_key("tpot_secs/p50"));
-        assert_eq!(reg.history().len(), 2);
+        // Each snapshot carries the time it was taken, in the order taken.
+        assert!(snap.at < snap2.at);
 
         // Snapshots serialize (they ride on Outcome).
         let json = serde_json::to_string(&snap).expect("serialize snapshot");
@@ -1241,15 +1229,15 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.counter_add("requests_finished", 3);
         reg.gauge_set("power_w", 212.5);
-        let s1 = reg.snapshot(SimTime::from_secs(1)).clone();
+        let s1 = reg.snapshot(SimTime::from_secs(1));
         // Nothing changed: the next snapshot must reuse both allocations.
-        let s2 = reg.snapshot(SimTime::from_secs(2)).clone();
+        let s2 = reg.snapshot(SimTime::from_secs(2));
         assert!(Arc::ptr_eq(&s1.counters, &s2.counters));
         assert!(Arc::ptr_eq(&s1.gauges, &s2.gauges));
 
         // A counter bump invalidates only the counter cache.
         reg.counter_add("requests_finished", 1);
-        let s3 = reg.snapshot(SimTime::from_secs(3)).clone();
+        let s3 = reg.snapshot(SimTime::from_secs(3));
         assert!(!Arc::ptr_eq(&s2.counters, &s3.counters));
         assert!(Arc::ptr_eq(&s2.gauges, &s3.gauges));
         assert_eq!(s3.counters["requests_finished"], 4);
@@ -1257,9 +1245,9 @@ mod tests {
         // Histogram quantiles force a fresh gauge map for that interval
         // only; the cache repopulates from the plain gauges afterwards.
         reg.observe("tpot_secs", 0.05);
-        let s4 = reg.snapshot(SimTime::from_secs(4)).clone();
+        let s4 = reg.snapshot(SimTime::from_secs(4));
         assert!(s4.gauges.contains_key("tpot_secs/p50"));
-        let s5 = reg.snapshot(SimTime::from_secs(5)).clone();
+        let s5 = reg.snapshot(SimTime::from_secs(5));
         assert!(!s5.gauges.contains_key("tpot_secs/p50"));
         assert!(!Arc::ptr_eq(&s4.gauges, &s5.gauges));
         assert!(Arc::ptr_eq(&s4.counters, &s5.counters));
